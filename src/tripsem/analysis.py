@@ -29,9 +29,16 @@ underlying derivation:
   (alpha_not * M_not_hat = 0 and alpha_not * M_a = 0, the Z-cleared forms)
   with the fitted matrix substituted.
 
-Unknowns are ordered [vec(M_not) row-major, then v_not], and rows are
-ordered value-before-function with samples in input order, so fits are
-bit-reproducible.
+Unknowns are ordered [vec(M_not) row-major, then v_not]. The systems are
+solved through their normal equations, which have structure: the
+M_not block is I kron H with H = sum w w^T + 5S I (S samples, function
+rows present) and v_not couples to it through n columns only. One n x n
+eigendecomposition of H and one of the n x n Schur complement of the
+v_not block give the solution. When either is singular or has an
+eigenvalue ratio above COND_LIMIT - a value system with fewer than
+n - d_inverted + 1 samples, or the function-only system, where v_not
+appears in no row - the explicit design is solved by SVD instead, which
+yields the minimum-norm solution. ``FitResult.solver`` says which ran.
 """
 
 from __future__ import annotations
@@ -81,6 +88,13 @@ DEMO_SEED = 0
 DEMO_NOISE = 0.1
 DEMO_COUNT = 50
 
+# The structured solve hands the system to the SVD when an eigenvalue
+# ratio exceeds this: the largest of H to its smallest, or the largest of
+# A_vv (the v_not block) to the smallest of its Schur complement. The
+# bound lies far inside the SVD's RANK_TOL cut, so every system the SVD
+# would treat as rank-deficient takes the SVD path.
+COND_LIMIT = 1e8
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -90,6 +104,8 @@ class FitResult:
     residuals over the value and function row families;
     ``residual_total`` is their quadrature sum. ``alpha_not_hat`` is None
     for baseline fits, which have no propagation-weight unknown.
+    ``solver`` names the path that solved for (M_not, v_not):
+    "structured" or "svd".
     """
 
     M_not_hat: FunctionMatrix
@@ -98,6 +114,7 @@ class FitResult:
     residual_value: float
     residual_function: float
     residual_total: float
+    solver: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,53 +220,131 @@ def _check_fit_inputs(samples: SampleSet, op: NegationOperator, op2: NegationOpe
         )
 
 
-def _value_blocks(
-    samples: SampleSet, j_mu: np.ndarray, j_nu: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Rows for the once- and twice-negated value requirements.
+def _value_triples(
+    samples: SampleSet, op: NegationOperator, op2: NegationOperator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (w, M_a, t) of the value requirements M_not w + M_a v_not = t.
 
-    With x = [vec(M_not); v_not], the requirement M_not w + M_a v_not = t
-    has design block [kron(I, w^T), M_a].
+    Each sample contributes its once-negated requirement (w = v_a,
+    t = J_mu v_a) and then its twice-negated one (w = J_mu v_a,
+    t = J_nu J_mu v_a), so triple r holds the r-th n-row block of the
+    value design. Shapes are (2S, n), (2S, n, n) and (2S, n).
+    """
+    v = np.stack([entry.v.values for entry in samples.entries])
+    m = np.stack([entry.M.entries for entry in samples.entries])
+    once = v @ make_negation_matrix(op).entries.T
+    twice = once @ make_negation_matrix(op2).entries.T
+    n = v.shape[1]
+    w = np.stack([v, once], axis=1).reshape(-1, n)
+    t = np.stack([once, twice], axis=1).reshape(-1, n)
+    return w, np.repeat(m, 2, axis=0), t
+
+
+def _spd_inverse(a: np.ndarray, scale: float | None = None) -> np.ndarray | None:
+    """Inverse of a symmetric matrix through its eigendecomposition.
+
+    None unless the smallest eigenvalue exceeds ``scale`` / COND_LIMIT,
+    where ``scale`` defaults to the largest eigenvalue of ``a``.
+    """
+    lam, q = np.linalg.eigh(a)
+    top = lam[-1] if scale is None else scale
+    if not lam[0] > top / COND_LIMIT:
+        return None
+    return (q / lam) @ q.T
+
+
+def _solve_structured(
+    w: np.ndarray, ma: np.ndarray, t: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Minimise sum_r |M w_r + M_a,r v - t_r|^2 + c |M|_F^2 over (M, v).
+
+    The normal equations are M H + B v = R_M and B^T vec(M) + A_vv v = r_v,
+    with H = sum w w^T + c I, the n^2 x n coupling B[i, j, k] =
+    sum w_j M_a[i, k], A_vv = sum M_a^T M_a, R_M = sum t w^T and
+    r_v = sum M_a^T t. Eliminating M = (R_M - B v) H^-1 leaves the n x n
+    Schur complement A_vv - B^T (I kron H^-1) B for v. Returns None when H
+    is too ill-conditioned for this route, or when elimination leaves too
+    little of A_vv: the Schur complement's eigenvalues are then measured
+    against A_vv's largest, since they can all be rounding noise at once.
+    """
+    n = w.shape[1]
+    h_inv = _spd_inverse(w.T @ w + c * np.eye(n))
+    if h_inv is None:
+        return None
+    b = np.einsum("rj,rik->ijk", w, ma)
+    b_h = np.einsum("ijk,jl->ilk", b, h_inv)
+    a_vv = np.einsum("rik,ril->kl", ma, ma)
+    schur = a_vv - np.einsum("ijk,ijl->kl", b_h, b)
+    s_inv = _spd_inverse(schur, np.linalg.eigvalsh(a_vv)[-1])
+    if s_inv is None:
+        return None
+
+    def solve(g_m, g_v):
+        g_m_h = g_m @ h_inv
+        v = s_inv @ (g_v - np.einsum("ijk,ij->k", b, g_m_h))
+        return g_m_h - (b @ v) @ h_inv, v
+
+    m, v = solve(t.T @ w, np.einsum("rik,ri->k", ma, t))
+    # Forming the normal equations squares the design's condition number.
+    # Refining against the residual of the rows themselves (corrected
+    # semi-normal equations) brings the error back to the SVD's level:
+    # two steps do so at the uniqueness threshold, where the design's
+    # condition number reaches 1e4.
+    for _ in range(2):
+        r = t - w @ m.T - ma @ v
+        dm, dv = solve(r.T @ w - c * m, np.einsum("rik,ri->k", ma, r))
+        m, v = m + dm, v + dv
+    return m, v
+
+
+def _solve_svd(
+    w: np.ndarray, ma: np.ndarray, t: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The same minimisation through the SVD of the explicit design.
+
+    Triple r gives the rows [kron(I, w_r^T), M_a,r]. With c > 0 the
+    function rows are the single block sqrt(c) I on vec(M): it has the
+    same minimiser and function residual as the 2S blocks I and 2I it
+    stands for. Rank-deficient systems yield the minimum-norm solution.
+    """
+    k, n = w.shape
+    n_function = n * n if c else 0
+    design = np.zeros((k * n + n_function, n * n + n))
+    value = design[: k * n].reshape(k, n, n * n + n)
+    for i in range(n):
+        value[:, i, i * n : (i + 1) * n] = w
+    value[:, :, n * n :] = ma
+    diag = np.arange(n_function)
+    design[k * n + diag, diag] = math.sqrt(c)
+    targets = np.concatenate([t.reshape(-1), np.zeros(n_function)])
+    x, _ = least_squares(design, targets)
+    return x[: n * n].reshape(n, n), x[n * n :]
+
+
+def _fit(
+    samples: SampleSet, op: NegationOperator, op2: NegationOperator, constraints: str
+) -> tuple[np.ndarray, np.ndarray, float, float, str]:
+    """(M_not, v_not, residual_value, residual_function, solver).
+
+    The function rows M_not = 0 and 2 M_not = 0 of S samples weigh
+    c = 5S on |M_not|_F^2. The structured solve runs when it measures
+    the system well-conditioned, the SVD otherwise.
     """
     n = samples.layout.n
-    eye = np.eye(n)
-    rows, targets = [], []
-    for entry in samples.entries:
-        v_a = entry.v.values
-        m_a = entry.M.entries
-        once = j_mu @ v_a
-        rows.append(np.hstack([np.kron(eye, v_a[None, :]), m_a]))
-        targets.append(once)
-        rows.append(np.hstack([np.kron(eye, once[None, :]), m_a]))
-        targets.append(j_nu @ once)
-    return rows, targets
-
-
-def _function_blocks_baseline(samples: SampleSet) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Rows forcing M_not = 0 (once) and 2 M_not = 0 (twice), per sample."""
-    n = samples.layout.n
-    single = np.hstack([np.eye(n * n), np.zeros((n * n, n))])
-    double = np.hstack([2.0 * np.eye(n * n), np.zeros((n * n, n))])
-    zero = np.zeros(n * n)
-    rows, targets = [], []
-    for _ in samples.entries:
-        rows.append(single)
-        targets.append(zero)
-        rows.append(double)
-        targets.append(zero)
-    return rows, targets
-
-
-def _solve(
-    rows: list[np.ndarray], targets: list[np.ndarray], n_value_rows: int
-) -> tuple[np.ndarray, float, float, float]:
-    design = DenseMatrix(np.vstack(rows))
-    b = np.concatenate(targets)
-    x, _ = least_squares(design, b)
-    residual = design.data @ x - b
-    res_value = float(np.linalg.norm(residual[:n_value_rows]))
-    res_function = float(np.linalg.norm(residual[n_value_rows:]))
-    return x, res_value, res_function, float(np.linalg.norm(residual))
+    if constraints == "function":
+        w, ma, t = np.zeros((0, n)), np.zeros((0, n, n)), np.zeros((0, n))
+    else:
+        w, ma, t = _value_triples(samples, op, op2)
+    c = 0.0 if constraints == "value" else 5.0 * len(samples)
+    solver = "structured"
+    solution = _solve_structured(w, ma, t, c)
+    if solution is None:
+        solver = "svd"
+        solution = _solve_svd(w, ma, t, c)
+    m, v = solution
+    res_value = float(np.linalg.norm(w @ m.T + ma @ v - t))
+    res_function = math.sqrt(c) * float(np.linalg.norm(m))
+    return m, v, res_value, res_function, solver
 
 
 def fit_negation_baseline(
@@ -272,31 +367,15 @@ def fit_negation_baseline(
         )
     _check_fit_inputs(samples, op, op2)
     layout = samples.layout
-    n = layout.n
-    j_mu = make_negation_matrix(op).entries
-    j_nu = make_negation_matrix(op2).entries
-
-    rows: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    n_value_rows = 0
-    if constraints in ("both", "value"):
-        value_rows, value_targets = _value_blocks(samples, j_mu, j_nu)
-        rows += value_rows
-        targets += value_targets
-        n_value_rows = sum(block.shape[0] for block in value_rows)
-    if constraints in ("both", "function"):
-        fn_rows, fn_targets = _function_blocks_baseline(samples)
-        rows += fn_rows
-        targets += fn_targets
-
-    x, res_value, res_function, res_total = _solve(rows, targets, n_value_rows)
+    m, v, res_value, res_function, solver = _fit(samples, op, op2, constraints)
     return FitResult(
-        M_not_hat=FunctionMatrix(x[: n * n].reshape(n, n), layout),
-        v_not_hat=SemanticVector(x[n * n :], layout),
+        M_not_hat=FunctionMatrix(m, layout),
+        v_not_hat=SemanticVector(v, layout),
         alpha_not_hat=None,
         residual_value=res_value,
         residual_function=res_function,
-        residual_total=res_total,
+        residual_total=math.hypot(res_value, res_function),
+        solver=solver,
     )
 
 
@@ -321,15 +400,7 @@ def fit_negation_improved(
                 "samples must have alpha > 0"
             )
     layout = samples.layout
-    n = layout.n
-    j_mu = make_negation_matrix(op).entries
-    j_nu = make_negation_matrix(op2).entries
-
-    value_rows, value_targets = _value_blocks(samples, j_mu, j_nu)
-    n_value_rows = sum(block.shape[0] for block in value_rows)
-    x, res_value, _, _ = _solve(value_rows, value_targets, n_value_rows)
-    m_not_hat = x[: n * n].reshape(n, n)
-    v_not_hat = x[n * n :]
+    m_not_hat, v_not_hat, res_value, _, solver = _fit(samples, op, op2, "value")
 
     # One unknown (alpha_not); rows per sample for both Z-cleared forms.
     columns = []
@@ -349,6 +420,7 @@ def fit_negation_improved(
         residual_value=res_value,
         residual_function=res_function,
         residual_total=math.hypot(res_value, res_function),
+        solver=solver,
     )
 
 

@@ -5,8 +5,9 @@ text, one ``<command> <key>: <value>`` pair per line, with floats printed
 as shortest round-trip decimals (so repeated runs are byte-identical and
 reports can be diffed in tests). Exit status is 0 on success, 1 when a
 verify check fails, and 2 on usage errors (bad flags, missing files,
-unknown words, layout mismatches), which also print a one-line
-``tripsem: ...`` diagnostic to stderr.
+unknown words, layout mismatches, trees nested too deep for the recursive
+parser and composer), which also print a one-line ``tripsem: ...``
+diagnostic to stderr.
 
 verify checks and their pass conditions:
 
@@ -204,6 +205,9 @@ def _verify_contradiction(lex: Lexicon, prefix: str) -> bool:
     _emit(prefix, "value_only.residual", value_only.residual_value)
     _emit(prefix, "function_only.m_error", function_m_error)
     _emit(prefix, "function_only.residual", function_only.residual_function)
+    _emit(prefix, "joint.solver", joint.solver)
+    _emit(prefix, "value_only.solver", value_only.solver)
+    _emit(prefix, "function_only.solver", function_only.solver)
     return (
         joint.residual_total > RESIDUAL_FLOOR
         and value_m_error <= FIT_TOL
@@ -228,6 +232,7 @@ def _verify_improved_fit(lex: Lexicon, prefix: str) -> bool:
     _emit(prefix, "v_error", v_error)
     _emit(prefix, "residual_total", fit.residual_total)
     _emit(prefix, "tolerance", FIT_TOL)
+    _emit(prefix, "solver", fit.solver)
     return (
         abs(fit.alpha_not_hat) <= FIT_TOL
         and m_error <= FIT_TOL
@@ -361,6 +366,12 @@ def run(argv=None) -> int:
         return args.func(args)
     except (TripsemError, OSError, ValueError) as exc:
         print(f"tripsem: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(
+            "tripsem: tree nested too deep for the recursive parser and composer",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -220,6 +220,10 @@ def loads(text: str) -> Lexicon:
             parts = stripped[1:].split()
             if len(parts) == 2 and parts[0] == "mu_default":
                 mu_default = float(_parse_floats(parts[1:], 1, lineno, "mu_default")[0])
+                if not 0.0 < mu_default <= 1.0:
+                    raise LexiconFormatError(
+                        f"mu_default must lie in (0, 1], got {mu_default!r}", lineno
+                    )
             continue
         rows.append((lineno, stripped.split()))
 

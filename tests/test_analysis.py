@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripsem.analysis import (
     SampleSet,
@@ -32,6 +34,7 @@ from tripsem.errors import (
     UndefinedSimilarityError,
 )
 from tripsem.lexicon import init_random, set_function_word
+from tripsem.numerics import least_squares
 from tripsem.treeio import parse_bracketed
 
 LAY211 = SegmentLayout(2, 1, 1)
@@ -202,6 +205,133 @@ class TestBaselineFit:
             fit_negation_baseline(
                 spanning_samples(), op211(0.5), op211(0.5), constraints="half"
             )
+
+
+EQUIVALENCE_LAYOUTS = (SegmentLayout(2, 1, 1), SegmentLayout(4, 2, 2), SegmentLayout(6, 3, 3))
+
+
+def uniqueness_threshold(layout):
+    """Fewest samples that pin (M_not, v_not) down from the value rows."""
+    return layout.n - layout.d_inverted + 1
+
+
+def explicit_fit(samples, mu, nu, constraints):
+    """least_squares on the explicit rows of ``naive_joint_system``.
+
+    Returns (solution, residual_value, residual_function, residual_total).
+    """
+    design, rhs = naive_joint_system(samples, mu, nu)
+    n_value = 2 * samples.layout.n * len(samples)
+    keep = {
+        "both": slice(None),
+        "value": slice(0, n_value),
+        "function": slice(n_value, None),
+    }[constraints]
+    x, _ = least_squares(design[keep], rhs[keep])
+    residual = design @ x - rhs
+    res_value = np.linalg.norm(residual[:n_value]) if constraints != "function" else 0.0
+    res_function = np.linalg.norm(residual[n_value:]) if constraints != "value" else 0.0
+    return x, res_value, res_function, math.hypot(res_value, res_function)
+
+
+def fit_problem(count_range):
+    """Strategy for (samples, mu, nu, constraints) at a count drawn from
+    ``count_range(threshold)``; nu equals mu half of the time."""
+
+    @st.composite
+    def problem(draw):
+        layout = draw(st.sampled_from(EQUIVALENCE_LAYOUTS))
+        low, high = count_range(uniqueness_threshold(layout))
+        count = draw(st.integers(low, high))
+        samples = spanning_samples(layout, count, draw(st.integers(0, 2**32 - 1)))
+        mu = draw(st.floats(0.05, 1.0))
+        nu = draw(st.one_of(st.just(mu), st.floats(0.05, 1.0)))
+        constraints = draw(st.sampled_from(("both", "value", "function")))
+        return samples, mu, nu, constraints
+
+    return problem()
+
+
+def fit_vector(fit):
+    return np.concatenate([fit.M_not_hat.entries.reshape(-1), fit.v_not_hat.values])
+
+
+def assert_residuals_agree(fit, reference):
+    # consistent systems leave residuals at rounding level on both sides,
+    # where no relative agreement exists: hence the 1e-12 absolute floor
+    for got, want in zip(
+        (fit.residual_value, fit.residual_function, fit.residual_total), reference[1:]
+    ):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestStructuredSolveMatchesExplicitSvd:
+    """The structured solve agrees with the SVD of the explicit design."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fit_problem(lambda threshold: (threshold + 1, threshold + 6)))
+    def test_above_threshold(self, problem):
+        samples, mu, nu, constraints = problem
+        layout = samples.layout
+        fit = fit_negation_baseline(
+            samples, NegationOperator(mu, layout), NegationOperator(nu, layout), constraints
+        )
+        reference = explicit_fit(samples, mu, nu, constraints)
+        # v_not appears in no function row: that system is rank-deficient
+        assert fit.solver == ("svd" if constraints == "function" else "structured")
+        assert np.max(np.abs(fit_vector(fit) - reference[0])) <= 1e-12
+        assert_residuals_agree(fit, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fit_problem(lambda threshold: (1, threshold - 1)))
+    def test_below_threshold(self, problem):
+        samples, mu, nu, constraints = problem
+        layout = samples.layout
+        fit = fit_negation_baseline(
+            samples, NegationOperator(mu, layout), NegationOperator(nu, layout), constraints
+        )
+        reference = explicit_fit(samples, mu, nu, constraints)
+        if constraints == "both":
+            # the function rows pin M_not, and through it v_not
+            assert fit.solver == "structured"
+            assert np.max(np.abs(fit_vector(fit) - reference[0])) <= 1e-12
+        else:
+            assert fit.solver == "svd"
+            assert np.array_equal(fit_vector(fit), reference[0])
+        assert_residuals_agree(fit, reference)
+
+    @settings(max_examples=20, deadline=None)
+    @given(fit_problem(lambda threshold: (threshold, threshold)))
+    def test_at_threshold(self, problem):
+        """With the fewest samples that pin the solution the design's
+        condition number reaches 1e4 and more, and the SVD's own forward
+        error approaches 1e-12: agreement is checked to the 1e-9 that the
+        verify checks use."""
+        samples, mu, nu, constraints = problem
+        layout = samples.layout
+        fit = fit_negation_baseline(
+            samples, NegationOperator(mu, layout), NegationOperator(nu, layout), constraints
+        )
+        reference = explicit_fit(samples, mu, nu, constraints)
+        assert np.max(np.abs(fit_vector(fit) - reference[0])) <= 1e-9
+        assert_residuals_agree(fit, reference)
+
+    @pytest.mark.parametrize("count", [5, 10])
+    def test_improved_fit_shares_the_value_solve(self, count):
+        samples = default_demo_samples(count)
+        op, op2 = NegationOperator(0.5, samples.layout), NegationOperator(0.75, samples.layout)
+        value = fit_negation_baseline(samples, op, op2, constraints="value")
+        improved = fit_negation_improved(samples, op, op2)
+        assert improved.solver == value.solver == ("svd" if count < 7 else "structured")
+        assert np.array_equal(fit_vector(improved), fit_vector(value))
+        assert improved.residual_value == value.residual_value
+
+    def test_fallback_fires_exactly_below_the_readme_threshold(self):
+        for count in range(1, 12):
+            samples = default_demo_samples(count)
+            op = NegationOperator(0.5, samples.layout)
+            fit = fit_negation_baseline(samples, op, op, constraints="value")
+            assert fit.solver == ("svd" if count < 7 else "structured"), count
 
 
 class TestImprovedFit:

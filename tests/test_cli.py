@@ -146,6 +146,20 @@ class TestCompose:
         assert code == 2
         assert "spaceship" in capsys.readouterr().err
 
+    def test_deeply_nested_tree_is_a_usage_error(self, demo_lexicon_path, tmp_path, capsys):
+        depth = 500
+        tree = tmp_path / "deep.tree"
+        tree.write_text(
+            "(S " + "(X (W car) " * depth + "(X (W car) (W blue))" + ")" * (depth + 1),
+            encoding="utf-8",
+        )
+        code = run(["compose", *DEMO_ARGS(demo_lexicon_path), "--tree", str(tree)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tripsem: tree nested too deep")
+        assert len(captured.err.splitlines()) == 1
+
     def test_tree_file_must_hold_one_tree(self, demo_lexicon_path, tmp_path, capsys):
         tree = tmp_path / "two.tree"
         tree.write_text("(N car)\n\n(N car)\n", encoding="utf-8")
@@ -244,6 +258,23 @@ class TestVerify:
         run(["verify", "improved-fit", *DEMO_ARGS(demo_lexicon_path)])
         assert "verify alpha_not: 0.0" in lines_of(capsys)
 
+    def test_fits_report_their_solver(self, demo_lexicon_path, capsys):
+        run(["verify", "contradiction", *DEMO_ARGS(demo_lexicon_path)])
+        report = lines_of(capsys)
+        # the solver lines follow every earlier line, just before the result
+        assert report[-4:-1] == [
+            "verify joint.solver: structured",
+            "verify value_only.solver: structured",
+            # v_not appears in no function row, so that system is
+            # rank-deficient by construction and always takes the SVD
+            "verify function_only.solver: svd",
+        ]
+        run(["verify", "improved-fit", *DEMO_ARGS(demo_lexicon_path)])
+        assert lines_of(capsys)[-2:] == [
+            "verify solver: structured",
+            "verify result: PASS",
+        ]
+
     def test_scope_without_tree(self, demo_lexicon_path, capsys):
         code = run(["verify", "scope", *DEMO_ARGS(demo_lexicon_path)])
         assert code == 2
@@ -263,7 +294,10 @@ class TestVerify:
         capsys.readouterr()
         code = run(["verify", "contradiction", "--lexicon", str(lex_path)])
         assert code == 1
-        assert lines_of(capsys)[-1] == "verify result: FAIL"
+        report = lines_of(capsys)
+        assert report[-1] == "verify result: FAIL"
+        assert "verify value_only.solver: svd" in report
+        assert "verify joint.solver: structured" in report
 
 
 class TestArgumentErrors:
@@ -278,6 +312,15 @@ class TestArgumentErrors:
 
     def test_unknown_verify_check(self, demo_lexicon_path, capsys):
         assert run(["verify", "everything", *DEMO_ARGS(demo_lexicon_path)]) == 2
+
+    def test_bad_mu_default_pragma_names_its_line(self, tmp_path, capsys):
+        lex = tmp_path / "bad.lex"
+        lex.write_text("TRIPSEM 1\nlayout 2 1 1\n# mu_default 2.0\n", encoding="utf-8")
+        code = run(["negate", "--lexicon", str(lex), "--word", "a"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "tripsem: mu_default must lie in (0, 1], got 2.0 (line 3)\n"
+        )
 
     def test_missing_lexicon_file(self, tmp_path, capsys):
         code = run(["negate", "--lexicon", str(tmp_path / "gone.lex"), "--word", "a"])

@@ -221,6 +221,15 @@ class TestLoadErrors:
             loads("TRIPSEM 1\nlayout 2 1\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", ["2.0", "0.0", "-0.5"])
+    def test_out_of_range_mu_default_pragma_names_its_line(self, value):
+        text = f"TRIPSEM 1\nlayout 2 1 1\n\n# mu_default {value}\n"
+        with pytest.raises(LexiconFormatError) as err:
+            loads(text)
+        assert err.value.line == 4
+        assert "mu_default must lie in (0, 1]" in str(err.value)
+        assert "(line 4)" in str(err.value)
+
     def test_wrong_vector_length_names_its_line(self):
         text = "TRIPSEM 1\nlayout 2 1 1\nword a 1.0\nv 1.0 2.0\n"
         with pytest.raises(LexiconFormatError) as err:
