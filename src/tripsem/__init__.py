@@ -4,11 +4,16 @@ A word is a triple (v, M, alpha): a semantic vector v split into domain,
 stable-value, and inverted-value segments, a function matrix M describing
 how the word transforms its neighbors, and a propagation weight alpha.
 The package provides the diminutive negation operator J_mu over such
-vectors, two pairwise composition models (additive baseline and
-alpha-weighted) lifted over binary parse trees, lexicon I/O with seeded
-deterministic initialization, and least-squares fits of the negation
-constraint system that show the baseline model cannot satisfy it while
-the alpha-weighted model can.
+vectors, one composition step ``compose_pair`` lifted over binary parse
+trees by ``compose_tree``, lexicon I/O with seeded deterministic
+initialization, and least-squares fits of the negation constraint system
+that show the baseline model cannot satisfy it while the alpha-weighted
+model can.
+
+The step computes v_p = M_a v_b + M_b v_a and M_p = w_a M_a + w_b M_b.
+``CompositionConfig`` has one field, ``model``: under ``baseline`` the
+weights are (1, 1); under ``improved`` they are (alpha_a/Z, 1 - alpha_a/Z)
+with Z = alpha_a + alpha_b, and Z = 0 raises ``DegenerateWeightsError``.
 """
 
 from .analysis import (
@@ -24,13 +29,7 @@ from .analysis import (
     scope_invariance_report,
     value_similarity,
 )
-from .composition import (
-    CompositionConfig,
-    compose_baseline,
-    compose_improved,
-    compose_pair,
-    compose_tree,
-)
+from .composition import CompositionConfig, compose_pair, compose_tree
 from .core import (
     FunctionMatrix,
     LexicalEntry,
@@ -71,8 +70,6 @@ __all__ = [
     "invert_vector",
     "split_segments",
     "CompositionConfig",
-    "compose_baseline",
-    "compose_improved",
     "compose_pair",
     "compose_tree",
     "FitResult",

@@ -117,6 +117,17 @@ class FitResult:
     solver: str
 
 
+def _sample_fault(entry: LexicalEntry) -> str:
+    """What breaks the sample assumptions for ``entry``, or "" if nothing."""
+    if not np.any(entry.v.values):
+        return "a zero vector"
+    if not np.any(entry.M.entries):
+        return "a zero function matrix"
+    if np.array_equal(entry.M.entries, np.eye(entry.layout.n)):
+        return "the identity as function matrix"
+    return ""
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Sample words quantified over by the constraint system.
@@ -133,19 +144,15 @@ class SampleSet:
         if not entries:
             raise ValueError("sample set must be nonempty")
         layout = entries[0].layout
-        eye = np.eye(layout.n)
         for entry in entries:
             if entry.layout != layout:
                 raise DimensionError(
                     f"sample {entry.token!r} has layout {entry.layout}, "
                     f"expected {layout}"
                 )
-            if not np.any(entry.v.values):
-                raise ValueError(f"sample {entry.token!r} has a zero vector")
-            if not np.any(entry.M.entries):
-                raise ValueError(f"sample {entry.token!r} has a zero function matrix")
-            if np.array_equal(entry.M.entries, eye):
-                raise ValueError(f"sample {entry.token!r} has the identity as function matrix")
+            fault = _sample_fault(entry)
+            if fault:
+                raise ValueError(f"sample {entry.token!r} has {fault}")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -162,14 +169,7 @@ class SampleSet:
         Entries violating the sample assumptions (zero vector, zero or
         identity matrix - e.g. function-word presets) are skipped.
         """
-        eye = np.eye(lex.layout.n)
-        picked = [
-            e
-            for e in lex
-            if np.any(e.v.values)
-            and np.any(e.M.entries)
-            and not np.array_equal(e.M.entries, eye)
-        ]
+        picked = [e for e in lex if not _sample_fault(e)]
         if not picked:
             raise ValueError("lexicon has no entries satisfying the sample assumptions")
         return cls(tuple(picked))

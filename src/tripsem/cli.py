@@ -6,8 +6,8 @@ as shortest round-trip decimals (so repeated runs are byte-identical and
 reports can be diffed in tests). Exit status is 0 on success, 1 when a
 verify check fails, and 2 on usage errors (bad flags, missing files,
 unknown words, layout mismatches, trees nested too deep for the recursive
-parser and composer), which also print a one-line ``tripsem: ...``
-diagnostic to stderr.
+parser and composer, an improved-model step whose alphas are both zero),
+which also print a one-line ``tripsem: ...`` diagnostic to stderr.
 
 verify checks and their pass conditions:
 

@@ -1,174 +1,71 @@
 """Pairwise and tree-driven composition of (vector, matrix, alpha) entries.
 
-Two composition models share the same vector rule and differ in how they
-combine function matrices:
+One step, ``compose_pair``, serves both composition models. They share
+the vector rule v_p = M_a v_b + M_b v_a and differ only in the weights
+(w_a, w_b) of the matrix rule M_p = w_a M_a + w_b M_b:
 
-* ``baseline``: the parent vector is g(W_v [M_a v_b; M_b v_a]) and the
-  parent matrix is W_M [M_a; M_b]. With the default g = identity and
-  W_v = W_M = [I I] this is v_p = M_a v_b + M_b v_a and M_p = M_a + M_b,
-  so every word's function propagates all the way to the root.
-* ``improved``: the matrices are weighted by the children's propagation
-  weights before stacking, M_p = W_M [(a_a/Z) M_a; (a_b/Z) M_b] with
-  Z = alpha_a + alpha_b, while the vector rule is unchanged. The parent
-  weight is alpha_p = max(alpha_a, alpha_b). A word with alpha = 0 applies
-  its function in its own step but contributes nothing to any parent matrix.
+* ``baseline``: weights (1, 1), so M_p = M_a + M_b and every word's
+  function propagates all the way to the root.
+* ``improved``: weights (alpha_a/Z, 1 - alpha_a/Z) with
+  Z = alpha_a + alpha_b, computed as a complementary pair so they sum to
+  exactly 1. A word with alpha = 0 applies its function in its own step
+  but contributes nothing to any parent matrix. When Z = 0 the weights
+  are undefined and the step raises ``DegenerateWeightsError``.
 
-A general W = [P Q] (n by 2n) acts blockwise on the stacked pair:
-W [A; B] = P A + Q B, the unique linear action that reduces to A + B for
-the default [I I]. The ``tanh-contrast`` nonlinearity exists only for
-demonstration runs; every contract in this package assumes the identity.
+Under both models the parent weight is alpha_p = max(alpha_a, alpha_b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import FunctionMatrix, LexicalEntry, SemanticVector
 from .errors import DegenerateWeightsError, DimensionError, TreeArityError
 from .lexicon import Lexicon
-from .numerics import DenseMatrix
 from .treeio import ParseTree
 
-__all__ = [
-    "CompositionConfig",
-    "compose_baseline",
-    "compose_improved",
-    "compose_pair",
-    "compose_tree",
-]
+__all__ = ["CompositionConfig", "compose_pair", "compose_tree"]
 
 MODELS = ("baseline", "improved")
-NONLINEARITIES = ("identity", "tanh-contrast")
-Z_ZERO_POLICIES = ("error", "equal-weights")
 
 
 @dataclass(frozen=True)
 class CompositionConfig:
-    """Composition settings; ``W_v``/``W_M`` = None means the default [I I]."""
+    """Composition settings: which model's matrix weights to use."""
 
     model: str = "baseline"
-    nonlinearity: str = "identity"
-    W_v: DenseMatrix | None = None
-    W_M: DenseMatrix | None = None
-    z_zero_policy: str = "error"
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ValueError(
-                f"nonlinearity must be one of {NONLINEARITIES}, got {self.nonlinearity!r}"
-            )
-        if self.z_zero_policy not in Z_ZERO_POLICIES:
-            raise ValueError(
-                f"z_zero_policy must be one of {Z_ZERO_POLICIES}, got {self.z_zero_policy!r}"
-            )
-
-
-def _split_blocks(w: DenseMatrix | None, n: int, name: str):
-    """Left/right n-by-n blocks of an n-by-2n weight matrix, or None for [I I]."""
-    if w is None:
-        return None
-    if w.rows != n or w.cols != 2 * n:
-        raise DimensionError(
-            f"{name} must be {n}x{2 * n} for layout dimension {n}, "
-            f"got {w.rows}x{w.cols}"
-        )
-    return w.data[:, :n], w.data[:, n:]
-
-
-def _check_pair(a: LexicalEntry, b: LexicalEntry):
-    if a.layout != b.layout:
-        raise DimensionError(
-            f"cannot compose {a.token!r} (layout {a.layout}) with "
-            f"{b.token!r} (layout {b.layout})"
-        )
-
-
-def _compose_vector(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> np.ndarray:
-    blocks = _split_blocks(cfg.W_v, a.layout.n, "W_v")
-    left = a.M.entries @ b.v.values
-    right = b.M.entries @ a.v.values
-    if blocks is None:
-        out = left + right
-    else:
-        p, q = blocks
-        out = p @ left + q @ right
-    if cfg.nonlinearity == "tanh-contrast":
-        out = np.tanh(out)
-    return out
-
-
-def _combine_matrices(
-    ma: np.ndarray, mb: np.ndarray, cfg: CompositionConfig, n: int
-) -> np.ndarray:
-    blocks = _split_blocks(cfg.W_M, n, "W_M")
-    if blocks is None:
-        return ma + mb
-    p, q = blocks
-    return p @ ma + q @ mb
-
-
-def compose_baseline(
-    a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig = CompositionConfig()
-) -> LexicalEntry:
-    """Baseline composition step; alpha is carried along but unused."""
-    if cfg.model != "baseline":
-        raise ValueError(f"config selects model {cfg.model!r}, not 'baseline'")
-    _check_pair(a, b)
-    layout = a.layout
-    v_p = _compose_vector(a, b, cfg)
-    m_p = _combine_matrices(a.M.entries, b.M.entries, cfg, layout.n)
-    return LexicalEntry(
-        f"({a.token} {b.token})",
-        SemanticVector(v_p, layout),
-        FunctionMatrix(m_p, layout),
-        max(a.alpha, b.alpha),
-    )
-
-
-def compose_improved(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> LexicalEntry:
-    """Alpha-weighted composition step.
-
-    The matrix weights alpha_a/Z and alpha_b/Z are computed as a
-    complementary pair (the second is 1 minus the first) so they sum to
-    exactly 1. When Z = alpha_a + alpha_b = 0 the weights are undefined;
-    the config's ``z_zero_policy`` either raises (default) or falls back
-    to equal weights.
-    """
-    if cfg.model != "improved":
-        raise ValueError(f"config selects model {cfg.model!r}, not 'improved'")
-    _check_pair(a, b)
-    layout = a.layout
-    z = a.alpha + b.alpha
-    if z == 0.0:
-        if cfg.z_zero_policy == "error":
-            raise DegenerateWeightsError(
-                f"both alphas are zero composing {a.token!r} with {b.token!r}"
-            )
-        weight_a = 0.5
-    else:
-        weight_a = a.alpha / z
-    weight_b = 1.0 - weight_a
-    v_p = _compose_vector(a, b, cfg)
-    m_p = _combine_matrices(
-        weight_a * a.M.entries, weight_b * b.M.entries, cfg, layout.n
-    )
-    return LexicalEntry(
-        f"({a.token} {b.token})",
-        SemanticVector(v_p, layout),
-        FunctionMatrix(m_p, layout),
-        max(a.alpha, b.alpha),
-    )
 
 
 def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> LexicalEntry:
     """One composition step under the configured model."""
+    layout = a.layout
+    if layout != b.layout:
+        raise DimensionError(
+            f"cannot compose {a.token!r} (layout {layout}) with "
+            f"{b.token!r} (layout {b.layout})"
+        )
+    ma, mb = a.M.entries, b.M.entries
+    v_p = ma @ b.v.values + mb @ a.v.values
     if cfg.model == "baseline":
-        return compose_baseline(a, b, cfg)
-    return compose_improved(a, b, cfg)
+        m_p = ma + mb
+    else:
+        z = a.alpha + b.alpha
+        if z == 0.0:
+            raise DegenerateWeightsError(
+                f"both alphas are zero composing {a.token!r} with {b.token!r}"
+            )
+        weight_a = a.alpha / z
+        m_p = weight_a * ma + (1.0 - weight_a) * mb
+    return LexicalEntry(
+        f"({a.token} {b.token})",
+        SemanticVector(v_p, layout),
+        FunctionMatrix(m_p, layout),
+        max(a.alpha, b.alpha),
+    )
 
 
 def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> LexicalEntry:

@@ -73,12 +73,6 @@ class SegmentLayout:
     def inverted_slice(self) -> slice:
         return slice(self.d_domain + self.d_stable, self.n)
 
-    @classmethod
-    def even_value_split(cls, d_domain: int, d_value: int) -> "SegmentLayout":
-        """Split the value region evenly, any odd remainder staying stable."""
-        d_inverted = d_value // 2
-        return cls(d_domain, d_value - d_inverted, d_inverted)
-
 
 def _frozen_array(values, expected_shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C")

@@ -1,29 +1,21 @@
 """Minimal dense linear-algebra kernel used by the rest of the package.
 
 Everything runs in double precision on row-major numpy arrays. The kernel
-is deliberately tiny: matrix-vector products, elementwise add/scale,
-vertical block stacking, cosine similarity, and a least-squares solve.
+is deliberately tiny: an immutable matrix type, cosine similarity, and a
+least-squares solve.
 Matrices of a few hundred rows/columns are the intended scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, UndefinedSimilarityError
 
-__all__ = [
-    "DenseMatrix",
-    "mat_vec",
-    "mat_add",
-    "mat_scale",
-    "block_vstack",
-    "cosine",
-    "least_squares",
-]
+__all__ = ["DenseMatrix", "cosine", "least_squares"]
 
 # Singular values below RANK_TOL * s_max are treated as zero in least_squares.
 RANK_TOL = 1e-10
@@ -90,54 +82,13 @@ class DenseMatrix:
 
 
 def _matrix_data(m) -> np.ndarray:
-    """Accept DenseMatrix, anything with an ``entries`` 2-D array, or array-like."""
+    """Accept a DenseMatrix or a 2-D array-like."""
     if isinstance(m, DenseMatrix):
         return m.data
-    entries = getattr(m, "entries", None)
-    if isinstance(entries, np.ndarray) and entries.ndim == 2:
-        return entries
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {arr.shape}")
     return arr
-
-
-def mat_vec(m, v: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Matrix-vector product ``m @ v``."""
-    data = _matrix_data(m)
-    vec = as_vector(v)
-    if data.shape[1] != vec.shape[0]:
-        raise DimensionError(
-            f"matrix has {data.shape[1]} columns but vector has length {vec.shape[0]}"
-        )
-    return data @ vec
-
-
-def mat_add(a, b) -> DenseMatrix:
-    """Elementwise sum of two conforming matrices."""
-    da, db = _matrix_data(a), _matrix_data(b)
-    if da.shape != db.shape:
-        raise DimensionError(f"cannot add shapes {da.shape} and {db.shape}")
-    return DenseMatrix(da + db)
-
-
-def mat_scale(m, c: float) -> DenseMatrix:
-    """Scalar multiple of a matrix."""
-    return DenseMatrix(_matrix_data(m) * float(c))
-
-
-def block_vstack(matrices: Iterable) -> DenseMatrix:
-    """Vertical concatenation of conforming matrices, in order."""
-    blocks = [_matrix_data(m) for m in matrices]
-    if not blocks:
-        raise DimensionError("block_vstack needs at least one matrix")
-    cols = blocks[0].shape[1]
-    for blk in blocks[1:]:
-        if blk.shape[1] != cols:
-            raise DimensionError(
-                f"cannot stack {blk.shape[1]} columns under {cols} columns"
-            )
-    return DenseMatrix(np.vstack(blocks))
 
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:

@@ -160,6 +160,21 @@ class TestCompose:
         assert captured.err.startswith("tripsem: tree nested too deep")
         assert len(captured.err.splitlines()) == 1
 
+    def test_zero_alpha_pair_is_a_usage_error_only_when_improved(
+        self, demo_lexicon_path, tmp_path, capsys
+    ):
+        # "not" has alpha 0, so Z = 0 when it composes with itself
+        tree = tmp_path / "not_not.tree"
+        tree.write_text("(S (RB not) (RB not))\n", encoding="utf-8")
+        argv = ["compose", *DEMO_ARGS(demo_lexicon_path), "--tree", str(tree)]
+        assert run(argv + ["--model", "improved"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tripsem: both alphas are zero ")
+        assert len(captured.err.splitlines()) == 1
+        assert run(argv + ["--model", "baseline"]) == 0
+        assert "compose root.alpha: 0.0" in lines_of(capsys)
+
     def test_tree_file_must_hold_one_tree(self, demo_lexicon_path, tmp_path, capsys):
         tree = tmp_path / "two.tree"
         tree.write_text("(N car)\n\n(N car)\n", encoding="utf-8")

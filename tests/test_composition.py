@@ -1,15 +1,12 @@
-"""Pairwise composition (both models) and tree-driven composition."""
+"""The composition step under both models, and tree-driven composition."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from tripsem.composition import (
-    CompositionConfig,
-    compose_baseline,
-    compose_improved,
-    compose_pair,
-    compose_tree,
-)
+from tripsem import composition
+from tripsem.composition import CompositionConfig, compose_pair, compose_tree
 from tripsem.core import (
     FunctionMatrix,
     LexicalEntry,
@@ -25,11 +22,11 @@ from tripsem.errors import (
     UnknownTokenError,
 )
 from tripsem.lexicon import Lexicon, init_random, set_function_word
-from tripsem.numerics import DenseMatrix
 from tripsem.treeio import ParseTree, binarize, parse_bracketed
 
 LAY211 = SegmentLayout(2, 1, 1)
 DEFAULT = CompositionConfig()
+IMPROVED = CompositionConfig(model="improved")
 
 
 def entry(token, values, matrix, alpha=1.0, layout=LAY211):
@@ -52,141 +49,110 @@ def not_and_blue():
 class TestConfig:
     def test_defaults(self):
         assert DEFAULT.model == "baseline"
-        assert DEFAULT.nonlinearity == "identity"
-        assert DEFAULT.W_v is None and DEFAULT.W_M is None
-        assert DEFAULT.z_zero_policy == "error"
+        assert [f.name for f in fields(CompositionConfig)] == ["model"]
 
     def test_rejects_unknown_choices(self):
         with pytest.raises(ValueError):
             CompositionConfig(model="quadratic")
-        with pytest.raises(ValueError):
-            CompositionConfig(nonlinearity="relu")
-        with pytest.raises(ValueError):
-            CompositionConfig(z_zero_policy="whatever")
+
+    def test_module_exports_one_step(self):
+        assert composition.__all__ == ["CompositionConfig", "compose_pair", "compose_tree"]
 
 
 class TestComposeBaseline:
     def test_identity_matrices_add_vectors(self):
         a = entry("a", [1.0, 0.0, 0.0, 0.0], np.eye(4))
         b = entry("b", [0.0, 1.0, 0.0, 0.0], np.eye(4))
-        p = compose_baseline(a, b, DEFAULT)
+        p = compose_pair(a, b, DEFAULT)
         assert p.v.values.tolist() == [1.0, 1.0, 0.0, 0.0]
         assert np.array_equal(p.M.entries, 2.0 * np.eye(4))
 
     def test_negation_preset_applies_j_mu(self, not_and_blue):
         a, b = not_and_blue
-        p = compose_baseline(a, b, DEFAULT)
+        p = compose_pair(a, b, DEFAULT)
         assert p.v.values.tolist() == [1.0, 2.0, 3.0, -2.0]
 
     def test_negation_matrix_leaks_into_parent(self, not_and_blue):
-        # additive W_M propagates J_mu beyond its own composition step
+        # the additive matrix rule propagates J_mu beyond its own composition step
         a, b = not_and_blue
-        p = compose_baseline(a, b, DEFAULT)
+        p = compose_pair(a, b, DEFAULT)
         assert np.array_equal(p.M.entries, a.M.entries + b.M.entries)
 
     def test_alpha_is_max(self):
         a = entry("a", [1.0, 0.0, 0.0, 0.0], np.eye(4), alpha=0.25)
         b = entry("b", [0.0, 1.0, 0.0, 0.0], np.eye(4), alpha=2.0)
-        assert compose_baseline(a, b, DEFAULT).alpha == 2.0
+        assert compose_pair(a, b, DEFAULT).alpha == 2.0
 
     def test_layout_mismatch(self):
-        a = entry("a", [1.0, 0.0, 0.0, 0.0], np.eye(4))
+        # alpha 0 on both sides: the layout is checked before the weights
+        a = entry("a", [1.0, 0.0, 0.0, 0.0], np.eye(4), alpha=0.0)
         other = SegmentLayout(1, 2, 1)
-        b = entry("b", [1.0, 0.0, 0.0, 0.0], np.eye(4), layout=other)
-        with pytest.raises(DimensionError):
-            compose_baseline(a, b, DEFAULT)
+        b = entry("b", [1.0, 0.0, 0.0, 0.0], np.eye(4), alpha=0.0, layout=other)
+        for cfg in (DEFAULT, IMPROVED):
+            with pytest.raises(DimensionError):
+                compose_pair(a, b, cfg)
 
-    def test_wrong_model_config_rejected(self):
-        a = entry("a", [1.0, 0.0, 0.0, 0.0], np.eye(4))
-        with pytest.raises(ValueError):
-            compose_baseline(a, a, CompositionConfig(model="improved"))
-
-    def test_general_w_matrices_act_blockwise(self):
+    def test_operand_order_and_token(self):
         rng = np.random.default_rng(0)
         a = entry("a", rng.standard_normal(4), rng.standard_normal((4, 4)))
         b = entry("b", rng.standard_normal(4), rng.standard_normal((4, 4)))
-        p_blk, q_blk = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-        w = DenseMatrix(np.hstack([p_blk, q_blk]))
-        cfg = CompositionConfig(W_v=w, W_M=w)
-        p = compose_baseline(a, b, cfg)
+        p = compose_pair(a, b, DEFAULT)
         ma, mb = a.M.entries, b.M.entries
-        va, vb = a.v.values, b.v.values
-        np.testing.assert_allclose(
-            p.v.values, p_blk @ (ma @ vb) + q_blk @ (mb @ va), rtol=1e-13
-        )
-        np.testing.assert_allclose(p.M.entries, p_blk @ ma + q_blk @ mb, rtol=1e-13)
-
-    def test_bad_w_shape_rejected(self):
-        a = entry("a", [1.0, 0.0, 0.0, 0.0], np.eye(4))
-        with pytest.raises(DimensionError):
-            compose_baseline(a, a, CompositionConfig(W_v=DenseMatrix(np.eye(4))))
-
-    def test_tanh_contrast_bounds_the_vector(self):
-        a = entry("a", [9.0, 9.0, 9.0, 9.0], np.eye(4))
-        b = entry("b", [9.0, 9.0, 9.0, 9.0], np.eye(4))
-        p = compose_baseline(a, b, CompositionConfig(nonlinearity="tanh-contrast"))
-        assert np.all(np.abs(p.v.values) <= 1.0)
-        # and the matrix path is untouched by the nonlinearity
-        assert np.array_equal(p.M.entries, 2.0 * np.eye(4))
+        assert np.array_equal(p.v.values, ma @ b.v.values + mb @ a.v.values)
+        assert np.array_equal(p.M.entries, ma + mb)
+        assert p.token == "(a b)"
 
 
 class TestComposeImproved:
     def test_zero_alpha_function_word_does_not_leak(self, not_and_blue):
         a, b = not_and_blue
-        p = compose_improved(a, b, CompositionConfig(model="improved"))
+        p = compose_pair(a, b, IMPROVED)
         assert np.array_equal(p.M.entries, b.M.entries)  # exactly M_b
 
     def test_equal_alphas_average_matrices(self):
         a = entry("a", [1.0, 0.0, 0.0, 0.0], 2.0 * np.eye(4))
         b = entry("b", [0.0, 1.0, 0.0, 0.0], 4.0 * np.eye(4))
-        p = compose_improved(a, b, CompositionConfig(model="improved"))
+        p = compose_pair(a, b, IMPROVED)
         assert np.array_equal(p.M.entries, 3.0 * np.eye(4))
 
     def test_weights_sum_to_exactly_one(self):
-        # alpha ratios that do not divide evenly still form a partition of 1
+        # alpha ratios that do not divide evenly still weight by w and 1 - w
         rng = np.random.default_rng(21)
         for _ in range(50):
             aa, ab = rng.uniform(0.01, 3.0, size=2)
-            z = aa + ab
-            wa = aa / z
-            assert wa + (1.0 - wa) == 1.0
+            a = entry("a", rng.standard_normal(4), rng.standard_normal((4, 4)), aa)
+            b = entry("b", rng.standard_normal(4), rng.standard_normal((4, 4)), ab)
+            p = compose_pair(a, b, IMPROVED)
+            w = a.alpha / (a.alpha + b.alpha)
+            expected = w * a.M.entries + (1.0 - w) * b.M.entries
+            assert np.array_equal(p.M.entries, expected)
+            assert p.alpha == max(a.alpha, b.alpha)
 
     def test_vector_rule_matches_baseline(self, not_and_blue):
         a, b = not_and_blue
-        base = compose_baseline(a, b, DEFAULT)
-        imp = compose_improved(a, b, CompositionConfig(model="improved"))
+        base = compose_pair(a, b, DEFAULT)
+        imp = compose_pair(a, b, IMPROVED)
         assert np.array_equal(base.v.values, imp.v.values)
 
     def test_alpha_is_max(self, not_and_blue):
         a, b = not_and_blue
-        p = compose_improved(a, b, CompositionConfig(model="improved"))
+        p = compose_pair(a, b, IMPROVED)
         assert p.alpha == 1.0
 
     def test_both_alphas_zero_errors_by_default(self):
         a = entry("a", [1.0, 0.0, 0.0, 0.0], np.eye(4), alpha=0.0)
         b = entry("b", [0.0, 1.0, 0.0, 0.0], np.eye(4), alpha=0.0)
         with pytest.raises(DegenerateWeightsError):
-            compose_improved(a, b, CompositionConfig(model="improved"))
-
-    def test_equal_weights_fallback(self):
-        a = entry("a", [1.0, 0.0, 0.0, 0.0], 2.0 * np.eye(4), alpha=0.0)
-        b = entry("b", [0.0, 1.0, 0.0, 0.0], 4.0 * np.eye(4), alpha=0.0)
-        cfg = CompositionConfig(model="improved", z_zero_policy="equal-weights")
-        p = compose_improved(a, b, cfg)
-        assert np.array_equal(p.M.entries, 3.0 * np.eye(4))
-        assert p.alpha == 0.0
+            compose_pair(a, b, IMPROVED)
 
 
 def test_compose_pair_dispatches_on_model(not_and_blue):
     a, b = not_and_blue
     assert np.array_equal(
-        compose_pair(a, b, DEFAULT).M.entries,
-        compose_baseline(a, b, DEFAULT).M.entries,
+        compose_pair(a, b, DEFAULT).M.entries, a.M.entries + b.M.entries
     )
-    cfg = CompositionConfig(model="improved")
-    assert np.array_equal(
-        compose_pair(a, b, cfg).M.entries, compose_improved(a, b, cfg).M.entries
-    )
+    # alpha_not = 0, so the improved weights are (0, 1)
+    assert np.array_equal(compose_pair(a, b, IMPROVED).M.entries, b.M.entries)
 
 
 @pytest.fixture

@@ -40,12 +40,6 @@ class TestSegmentLayout:
             slice(5, 6),
         )
 
-    def test_even_value_split(self):
-        assert SegmentLayout.even_value_split(4, 4) == SegmentLayout(4, 2, 2)
-        # odd value size: the remainder stays stable
-        assert SegmentLayout.even_value_split(2, 3) == SegmentLayout(2, 2, 1)
-        assert SegmentLayout.even_value_split(1, 0) == SegmentLayout(1, 0, 0)
-
     def test_rejects_invalid_counts(self):
         with pytest.raises(ValueError):
             SegmentLayout(-1, 1, 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tripsem.composition import CompositionConfig, compose_baseline
+from tripsem.composition import CompositionConfig, compose_pair
 from tripsem.core import (
     FunctionMatrix,
     LexicalEntry,
@@ -158,7 +158,7 @@ class TestFunctionWordPresets:
         lex = init_random(["blue"], LAY211, seed=3, noise=0.1)
         lex = set_function_word(lex, "not", "negation", mu=0.5)
         j_mu = make_negation_matrix(NegationOperator(0.5, LAY211)).entries
-        product = compose_baseline(lex["not"], lex["blue"], CompositionConfig())
+        product = compose_pair(lex["not"], lex["blue"], CompositionConfig())
         np.testing.assert_array_equal(product.v.values, j_mu @ lex["blue"].v.values)
 
 

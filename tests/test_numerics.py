@@ -1,4 +1,4 @@
-"""Dense kernel: products, cosine, least squares against naive oracles."""
+"""Dense kernel: the matrix type, cosine, least squares against naive oracles."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripsem.errors import DimensionError, UndefinedSimilarityError
-from tripsem.numerics import (
-    DenseMatrix,
-    block_vstack,
-    cosine,
-    least_squares,
-    mat_add,
-    mat_scale,
-    mat_vec,
-)
+from tripsem.numerics import DenseMatrix, cosine, least_squares
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -51,71 +43,6 @@ class TestDenseMatrix:
             DenseMatrix([[np.nan]])
         with pytest.raises(ValueError):
             DenseMatrix([[np.inf, 0.0]])
-
-
-class TestMatVec:
-    def test_small_example(self):
-        m = DenseMatrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        assert mat_vec(m, [1.0, -1.0]).tolist() == [-1.0, -1.0, -1.0]
-
-    def test_identity_fixes_input(self):
-        assert mat_vec(DenseMatrix.identity(3), [1.0, 2.0, 3.0]).tolist() == [1.0, 2.0, 3.0]
-
-    def test_scaled_diagonal(self):
-        m = DenseMatrix(np.diag([1.0, 1.0, -0.5]))
-        assert mat_vec(m, [2.0, 2.0, 2.0]).tolist() == [2.0, 2.0, -1.0]
-
-    def test_distributes_over_vector_addition(self):
-        rng = np.random.default_rng(11)
-        m = DenseMatrix(rng.standard_normal((5, 4)))
-        u, v = rng.standard_normal(4), rng.standard_normal(4)
-        np.testing.assert_allclose(
-            mat_vec(m, u + v), mat_vec(m, u) + mat_vec(m, v), rtol=1e-12, atol=1e-12
-        )
-
-    def test_matches_naive_loops(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            rows, cols = rng.integers(1, 9, size=2)
-            m = rng.standard_normal((rows, cols))
-            v = rng.standard_normal(cols)
-            expected = np.array(
-                [sum(m[i, j] * v[j] for j in range(cols)) for i in range(rows)]
-            )
-            np.testing.assert_allclose(mat_vec(DenseMatrix(m), v), expected, rtol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            mat_vec(DenseMatrix.identity(2), [1.0, 2.0, 3.0])
-
-
-def test_mat_add_and_scale():
-    a = DenseMatrix([[1.0, 2.0]])
-    b = DenseMatrix([[10.0, 20.0]])
-    assert mat_add(a, b) == DenseMatrix([[11.0, 22.0]])
-    assert mat_scale(a, -2.0) == DenseMatrix([[-2.0, -4.0]])
-    assert mat_add(DenseMatrix.identity(2), DenseMatrix.identity(2)) == DenseMatrix(
-        2.0 * np.eye(2)
-    )
-    with pytest.raises(DimensionError):
-        mat_add(a, DenseMatrix.identity(2))
-
-
-def test_mat_add_associative_on_random_inputs():
-    rng = np.random.default_rng(3)
-    a, b, c = (DenseMatrix(rng.standard_normal((3, 3))) for _ in range(3))
-    left = mat_add(mat_add(a, b), c)
-    right = mat_add(a, mat_add(b, c))
-    np.testing.assert_allclose(left.data, right.data, rtol=1e-12, atol=1e-12)
-
-
-def test_block_vstack():
-    stacked = block_vstack([DenseMatrix.identity(2), DenseMatrix.zeros(1, 2)])
-    assert stacked == DenseMatrix([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(DimensionError):
-        block_vstack([])
-    with pytest.raises(DimensionError):
-        block_vstack([DenseMatrix.identity(2), DenseMatrix.identity(3)])
 
 
 class TestCosine:
@@ -212,3 +139,12 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             least_squares(DenseMatrix.identity(2), [1.0, 2.0, 3.0])
+
+    def test_plain_array_design_matches_dense_matrix(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((6, 3)), rng.standard_normal(6)
+        x_arr, res_arr = least_squares(a, b)
+        x_dm, res_dm = least_squares(DenseMatrix(a), b)
+        assert np.array_equal(x_arr, x_dm) and res_arr == res_dm
+        with pytest.raises(DimensionError):
+            least_squares(np.ones(3), [1.0, 2.0, 3.0])
