@@ -4,8 +4,9 @@ A word is a triple (v, M, alpha): a semantic vector v split into domain,
 stable-value, and inverted-value segments, a function matrix M describing
 how the word transforms its neighbors, and a propagation weight alpha.
 The package provides the diminutive negation operator J_mu over such
-vectors, one composition step ``compose_pair`` lifted over binary parse
-trees by ``compose_tree``, lexicon I/O with seeded deterministic
+vectors, one composition step ``compose_pair``, ``compose_tree``, which
+evaluates a binary parse tree with that step's arithmetic in one pass over
+the tree's flat post-order arrays, lexicon I/O with seeded deterministic
 initialization, and least-squares fits of the negation constraint system
 that show the baseline model cannot satisfy it while the alpha-weighted
 model can.

@@ -36,9 +36,10 @@ rows present) and v_not couples to it through n columns only. One n x n
 eigendecomposition of H and one of the n x n Schur complement of the
 v_not block give the solution. When either is singular or has an
 eigenvalue ratio above COND_LIMIT - a value system with fewer than
-n - d_inverted + 1 samples, or the function-only system, where v_not
-appears in no row - the explicit design is solved by SVD instead, which
-yields the minimum-norm solution. ``FitResult.solver`` says which ran.
+n - d_inverted + 1 samples - the explicit design is solved by SVD
+instead, which yields the minimum-norm solution. The function-only
+system, where v_not appears in no row, has the minimum-norm solution
+zero in closed form. ``FitResult.solver`` says which ran.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class FitResult:
     ``residual_total`` is their quadrature sum. ``alpha_not_hat`` is None
     for baseline fits, which have no propagation-weight unknown.
     ``solver`` names the path that solved for (M_not, v_not):
-    "structured" or "svd".
+    "structured", "svd", or "closed-form" for the function-only fit.
     """
 
     M_not_hat: FunctionMatrix
@@ -332,9 +333,10 @@ def _fit(
     """
     n = samples.layout.n
     if constraints == "function":
-        w, ma, t = np.zeros((0, n)), np.zeros((0, n, n)), np.zeros((0, n))
-    else:
-        w, ma, t = _value_triples(samples, op, op2)
+        # v_not appears in no function row, and M_not = 0 satisfies every
+        # one, so zero is the exact minimum-norm solution.
+        return np.zeros((n, n)), np.zeros(n), 0.0, 0.0, "closed-form"
+    w, ma, t = _value_triples(samples, op, op2)
     c = 0.0 if constraints == "value" else 5.0 * len(samples)
     solver = "structured"
     solution = _solve_structured(w, ma, t, c)
@@ -430,7 +432,11 @@ def fit_negation_improved(
 
 @dataclass(frozen=True, eq=False)
 class DoubleNegationReport:
-    """Once- and twice-negated vectors plus the properties they exhibit."""
+    """Once- and twice-negated vectors plus the properties they exhibit.
+
+    ``underflowed`` counts the inverted entries for which
+    ``check_double_negation`` relaxes both checks.
+    """
 
     original: SemanticVector
     once: SemanticVector
@@ -438,6 +444,7 @@ class DoubleNegationReport:
     domain_unchanged: bool
     signs_restored: bool
     diminutive: bool
+    underflowed: int
 
 
 def check_double_negation(
@@ -450,6 +457,13 @@ def check_double_negation(
     inverted segment has the original signs. ``diminutive``: every nonzero
     inverted entry strictly shrank in magnitude (false at mu = nu = 1,
     where double inversion restores the vector exactly).
+
+    Both hold exactly only where mu * nu * |x| is at least the smallest
+    normal double, ``np.finfo(float).tiny``. Below it the result is
+    subnormal and rounds to a grid that can put it back on x itself
+    (0.9 * 0.9 * 5e-324 rounds to 5e-324) or on zero. For such an entry
+    the check requires |y| <= |x| in place of the strict shrink and
+    accepts zero in place of the original sign.
     """
     original = entry.v
     once = negate_vector(original, op)
@@ -461,9 +475,13 @@ def check_double_negation(
     ) and np.array_equal(original.values[keep], twice.values[keep])
     orig_inv = original.values[layout.inverted_slice]
     twice_inv = twice.values[layout.inverted_slice]
-    signs_restored = bool(np.all(np.sign(twice_inv) == np.sign(orig_inv)))
     nonzero = orig_inv != 0.0
-    diminutive = bool(np.all(np.abs(twice_inv[nonzero]) < np.abs(orig_inv[nonzero])))
+    small = nonzero & (op.mu * op2.mu * np.abs(orig_inv) < np.finfo(float).tiny)
+    same_sign = np.sign(twice_inv) == np.sign(orig_inv)
+    signs_restored = bool(np.all(same_sign | (small & (twice_inv == 0.0))))
+    before, after = np.abs(orig_inv), np.abs(twice_inv)
+    shrunk = np.where(small, after <= before, after < before)
+    diminutive = bool(np.all(shrunk[nonzero]))
     return DoubleNegationReport(
         original=original,
         once=once,
@@ -471,6 +489,7 @@ def check_double_negation(
         domain_unchanged=bool(domain_unchanged),
         signs_restored=signs_restored,
         diminutive=diminutive,
+        underflowed=int(np.count_nonzero(small)),
     )
 
 

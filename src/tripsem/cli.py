@@ -5,9 +5,10 @@ text, one ``<command> <key>: <value>`` pair per line, with floats printed
 as shortest round-trip decimals (so repeated runs are byte-identical and
 reports can be diffed in tests). Exit status is 0 on success, 1 when a
 verify check fails, and 2 on usage errors (bad flags, missing files,
-unknown words, layout mismatches, trees nested too deep for the recursive
-parser and composer, an improved-model step whose alphas are both zero),
-which also print a one-line ``tripsem: ...`` diagnostic to stderr.
+unknown words, layout mismatches, an improved-model step whose alphas are
+both zero, a composed vector or matrix that overflows), which also print
+a one-line ``tripsem: ...`` diagnostic to stderr. Trees of any depth are
+read and composed; the parser and composer loop over flat arrays.
 
 verify checks and their pass conditions:
 
@@ -19,7 +20,9 @@ verify checks and their pass conditions:
   norm, and residual_total are all within 1e-9.
 * ``double-negation``: domain_unchanged and signs_restored hold for every
   lexicon word, and diminutive holds for every word with a nonzero
-  inverted segment (when mu_default < 1).
+  inverted segment (when mu_default < 1). An inverted entry x with
+  mu^2 |x| below the smallest normal double need only not grow, and may
+  round to zero; words_underflowed counts the words that have one.
 * ``scope --tree FILE``: with a seeded perturbation of the "not" matrix,
   the improved-model root-M delta is <= 1e-12 and the baseline delta
   equals the perturbation norm within 1e-12 relative.
@@ -245,11 +248,12 @@ def _verify_double_negation(lex: Lexicon, prefix: str) -> bool:
     op = NegationOperator(lex.mu_default, lex.layout)
     expect_diminutive = lex.mu_default * lex.mu_default < 1.0
     all_domain, all_signs, all_dim = True, True, True
-    checked_dim = 0
+    checked_dim = underflowed = 0
     for entry in lex:
         report = check_double_negation(entry, op, op)
         all_domain = all_domain and report.domain_unchanged
         all_signs = all_signs and report.signs_restored
+        underflowed += bool(report.underflowed)
         if np.any(entry.v.values[lex.layout.inverted_slice]):
             checked_dim += 1
             all_dim = all_dim and report.diminutive
@@ -260,6 +264,7 @@ def _verify_double_negation(lex: Lexicon, prefix: str) -> bool:
     _emit(prefix, "domain_unchanged", all_domain)
     _emit(prefix, "signs_restored", all_signs)
     _emit(prefix, "diminutive", all_dim)
+    _emit(prefix, "words_underflowed", underflowed)
     return all_domain and all_signs and (all_dim or not expect_diminutive)
 
 
@@ -366,12 +371,6 @@ def run(argv=None) -> int:
         return args.func(args)
     except (TripsemError, OSError, ValueError) as exc:
         print(f"tripsem: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(
-            "tripsem: tree nested too deep for the recursive parser and composer",
-            file=sys.stderr,
-        )
         return 2
 
 

@@ -1,6 +1,6 @@
 """Pairwise and tree-driven composition of (vector, matrix, alpha) entries.
 
-One step, ``compose_pair``, serves both composition models. They share
+One step, ``compose_pair``, defines both composition models. They share
 the vector rule v_p = M_a v_b + M_b v_a and differ only in the weights
 (w_a, w_b) of the matrix rule M_p = w_a M_a + w_b M_b:
 
@@ -13,16 +13,23 @@ the vector rule v_p = M_a v_b + M_b v_a and differ only in the weights
   are undefined and the step raises ``DegenerateWeightsError``.
 
 Under both models the parent weight is alpha_p = max(alpha_a, alpha_b).
+
+``compose_tree`` evaluates a whole binary tree in one pass over its flat
+post-order arrays, computing each internal node exactly as ``compose_pair``
+would, on plain arrays, and wraps only the root in a ``LexicalEntry``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import FunctionMatrix, LexicalEntry, SemanticVector
 from .errors import DegenerateWeightsError, DimensionError, TreeArityError
 from .lexicon import Lexicon
-from .treeio import ParseTree
+from .treeio import ParseTree, _bracketed, _describe, _post_order
 
 __all__ = ["CompositionConfig", "compose_pair", "compose_tree"]
 
@@ -68,19 +75,92 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
     )
 
 
+def _arity_stop(kids: tuple, lo: int, hi: int) -> tuple[int, int]:
+    """(position, node) of the first non-binary node the recursive fold
+    meets, or (hi, -1). The fold checks a node's arity before it descends,
+    so it stops at the start of that node's subtree: the smallest subtree
+    start, and on a tie the outermost node, which is the later one."""
+    first: list[int] = []
+    stop, node = hi, -1
+    for j in range(lo, hi):
+        ks = kids[j]
+        start = first[ks[0] - lo] if ks else j
+        first.append(start)
+        if ks and len(ks) != 2 and start <= stop:
+            stop, node = start, j
+    return stop, node
+
+
 def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> LexicalEntry:
     """Evaluate a binary tree bottom-up, left to right.
 
     Leaves look up their lexicon entries; each internal node composes its
     two children. The tree must already be binary (see ``treeio.binarize``).
+
+    One loop over the post-order arrays keeps a stack of plain
+    (v, M, alpha) arrays: a leaf pushes its entry's arrays, an internal node
+    replaces its two children by their composition, with the operands,
+    order and weights of ``compose_pair``, so the root is bit for bit the
+    post-order fold of ``compose_pair``. A leaf root is its lexicon entry;
+    any other root is a new ``LexicalEntry`` whose token is the fold's
+    ``"(a b)"`` string. Errors are those of the fold, in its order:
+    ``TreeArityError``, ``UnknownTokenError``, ``DegenerateWeightsError``,
+    and a one-line ``ValueError`` naming the first node, by tag and leaf
+    span, whose vector or matrix is not finite. Overflow is reported only
+    through that error, never as a numpy warning.
     """
-    if tree.is_leaf:
-        return lexicon[tree.token]
-    if len(tree.children) != 2:
+    tags, tokens, kids, lo, hi = _post_order(tree)
+    stop, wide = hi, -1
+    if not set(map(len, kids[lo:hi])) <= {0, 2}:
+        stop, wide = _arity_stop(kids, lo, hi)
+    baseline = cfg.model == "baseline"
+    leaves: dict[str, tuple] = {}
+    stack: list[tuple] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(lo, stop):
+            token = tokens[j]
+            if token is not None:
+                leaf = leaves.get(token)
+                if leaf is None:
+                    entry = lexicon[token]
+                    leaf = leaves[token] = (entry.v.values, entry.M.entries, entry.alpha)
+                stack.append(leaf)
+                continue
+            vb, mb, ab = stack.pop()
+            va, ma, aa = stack[-1]
+            v = ma @ vb + mb @ va
+            if baseline:
+                m = ma + mb
+            else:
+                z = aa + ab
+                if z == 0.0:
+                    raise DegenerateWeightsError(
+                        f"both alphas are zero at {_describe(tree, j)}"
+                    )
+                weight_a = aa / z
+                m = weight_a * ma + (1.0 - weight_a) * mb
+            # Squares sum to a finite number only when every entry is finite,
+            # unless a large finite entry overflows them: then look closer.
+            if not math.isfinite(v.dot(v) + np.vdot(m, m)):
+                for what, values in (("semantic vector", v), ("function matrix", m)):
+                    if not np.isfinite(values).all():
+                        raise ValueError(
+                            f"{what} entries are not finite after composing "
+                            f"{_describe(tree, j)}"
+                        )
+            stack[-1] = (v, m, max(aa, ab))
+    if stop < hi:
         raise TreeArityError(
-            f"node {tree.tag!r} has {len(tree.children)} children; "
+            f"node {tags[wide]!r} has {len(kids[wide])} children; "
             "composition needs a binary tree (binarize first)"
         )
-    left = compose_tree(tree.children[0], lexicon, cfg)
-    right = compose_tree(tree.children[1], lexicon, cfg)
-    return compose_pair(left, right, cfg)
+    if tokens[hi - 1] is not None:
+        return lexicon[tokens[hi - 1]]
+    v, m, alpha = stack[0]
+    layout = lexicon.layout
+    return LexicalEntry(
+        _bracketed(tree, tagged=False),
+        SemanticVector(v, layout),
+        FunctionMatrix(m, layout),
+        alpha,
+    )

@@ -277,8 +277,8 @@ class TestStructuredSolveMatchesExplicitSvd:
             samples, NegationOperator(mu, layout), NegationOperator(nu, layout), constraints
         )
         reference = explicit_fit(samples, mu, nu, constraints)
-        # v_not appears in no function row: that system is rank-deficient
-        assert fit.solver == ("svd" if constraints == "function" else "structured")
+        # v_not appears in no function row, and M_not = 0 meets every one
+        assert fit.solver == ("closed-form" if constraints == "function" else "structured")
         assert np.max(np.abs(fit_vector(fit) - reference[0])) <= 1e-12
         assert_residuals_agree(fit, reference)
 
@@ -296,7 +296,7 @@ class TestStructuredSolveMatchesExplicitSvd:
             assert fit.solver == "structured"
             assert np.max(np.abs(fit_vector(fit) - reference[0])) <= 1e-12
         else:
-            assert fit.solver == "svd"
+            assert fit.solver == ("closed-form" if constraints == "function" else "svd")
             assert np.array_equal(fit_vector(fit), reference[0])
         assert_residuals_agree(fit, reference)
 

@@ -1,5 +1,6 @@
 """CLI behavior: report formats, exit codes, determinism."""
 
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,12 @@ DEMO_ARGS = lambda path: ["--lexicon", str(path)]  # noqa: E731
 def lines_of(capsys):
     out = capsys.readouterr().out
     return [line for line in out.splitlines() if line]
+
+
+def deep_chain(depth, words):
+    """A right-branching tree ``depth`` levels deep over ``words`` in turn."""
+    levels = "".join(f"(X (W {words[i % len(words)]}) " for i in range(depth))
+    return "(S " + levels + "(X (W car) (W blue))" + ")" * (depth + 1)
 
 
 def keys_of(lines, prefix):
@@ -146,19 +153,59 @@ class TestCompose:
         assert code == 2
         assert "spaceship" in capsys.readouterr().err
 
-    def test_deeply_nested_tree_is_a_usage_error(self, demo_lexicon_path, tmp_path, capsys):
-        depth = 500
+    @pytest.mark.parametrize("model", ["baseline", "improved"])
+    def test_ten_thousand_deep_chain_composes(
+        self, demo_lexicon_path, tmp_path, capsys, model
+    ):
+        # "not" has v = 0, so each step maps v to J_mu v and nothing overflows
         tree = tmp_path / "deep.tree"
-        tree.write_text(
-            "(S " + "(X (W car) " * depth + "(X (W car) (W blue))" + ")" * (depth + 1),
-            encoding="utf-8",
-        )
+        tree.write_text(deep_chain(10**4, ["not"]), encoding="utf-8")
+        argv = ["compose", *DEMO_ARGS(demo_lexicon_path), "--tree", str(tree)]
+        assert run(argv + ["--model", model]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "compose root.alpha: 1.0" in captured.out.splitlines()
+
+    def test_overflow_on_a_deep_chain_names_the_node(
+        self, demo_lexicon_path, tmp_path, capsys
+    ):
+        tree = tmp_path / "deep.tree"
+        tree.write_text(deep_chain(10**5, ["car", "blue"]), encoding="utf-8")
         code = run(["compose", *DEMO_ARGS(demo_lexicon_path), "--tree", str(tree)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("tripsem: tree nested too deep")
-        assert len(captured.err.splitlines()) == 1
+        assert re.fullmatch(
+            r"tripsem: semantic vector entries are not finite after composing "
+            r"node 'X' over leaves \d+-100002\n",
+            captured.err,
+        )
+
+    def test_overflow_is_one_line_without_numpy_warnings(self, tmp_path):
+        lex = tmp_path / "huge.lex"
+        entry = "v 1e300 1e300 1e300\nm 1e10 0 0\nm 0 1e10 0\nm 0 0 1e10\n"
+        lex.write_text(
+            f"TRIPSEM 1\nlayout 1 1 1\nword a 1\n{entry}word b 1\n{entry}",
+            encoding="utf-8",
+        )
+        tree = tmp_path / "pair.tree"
+        tree.write_text("(S (W a) (W b))\n", encoding="utf-8")
+        # a subprocess, so that numpy's warnings reach stderr unfiltered
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "tripsem.cli",
+                "compose", "--lexicon", str(lex), "--tree", str(tree),
+            ],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "tripsem: semantic vector entries are not finite after composing "
+            "node 'S' over leaves 1-2\n"
+        )
 
     def test_zero_alpha_pair_is_a_usage_error_only_when_improved(
         self, demo_lexicon_path, tmp_path, capsys
@@ -237,6 +284,25 @@ class TestVerify:
         assert report[0] == f"verify check: {check}"
         assert report[-1] == "verify result: PASS"
 
+    @pytest.mark.parametrize("mu", ["0.9", "0.5"])
+    def test_double_negation_of_a_subnormal_underflows(self, tmp_path, capsys, mu):
+        # mu^2 * 5e-324 rounds back to 5e-324 at mu = 0.9, which cannot
+        # shrink, and to zero at mu = 0.5, which loses the sign
+        lex = tmp_path / "subnormal.lex"
+        lex.write_text(
+            f"TRIPSEM 1\nlayout 1 1 1\n# mu_default {mu}\n"
+            "word tiny 1\nv 1 1 5e-324\nm 1 0 0\nm 0 1 0\nm 0 0 1\n",
+            encoding="utf-8",
+        )
+        assert run(["verify", "double-negation", "--lexicon", str(lex)]) == 0
+        assert lines_of(capsys)[-5:] == [
+            "verify domain_unchanged: true",
+            "verify signs_restored: true",
+            "verify diminutive: true",
+            "verify words_underflowed: 1",
+            "verify result: PASS",
+        ]
+
     def test_scope_passes_with_tree(
         self, demo_lexicon_path, figure3_tree_path, capsys
     ):
@@ -280,9 +346,9 @@ class TestVerify:
         assert report[-4:-1] == [
             "verify joint.solver: structured",
             "verify value_only.solver: structured",
-            # v_not appears in no function row, so that system is
-            # rank-deficient by construction and always takes the SVD
-            "verify function_only.solver: svd",
+            # v_not appears in no function row and M_not = 0 meets every
+            # one, so zero is that system's minimum-norm solution
+            "verify function_only.solver: closed-form",
         ]
         run(["verify", "improved-fit", *DEMO_ARGS(demo_lexicon_path)])
         assert lines_of(capsys)[-2:] == [

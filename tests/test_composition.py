@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripsem import composition
 from tripsem.composition import CompositionConfig, compose_pair, compose_tree
@@ -265,3 +267,129 @@ class TestRootMatrixPropagation:
         np.testing.assert_allclose(
             other.M.entries - base.M.entries, delta, rtol=0.0, atol=1e-12
         )
+
+
+def fold(tree, lexicon, cfg):
+    """The recursive post-order fold of ``compose_pair`` that
+    ``compose_tree`` must reproduce: arity is checked on the way down,
+    each step on the way up."""
+    if tree.is_leaf:
+        return lexicon[tree.token]
+    if len(tree.children) != 2:
+        raise TreeArityError(f"node {tree.tag!r} has {len(tree.children)} children")
+    left, right = (fold(child, lexicon, cfg) for child in tree.children)
+    return compose_pair(left, right, cfg)
+
+
+FAULTS = (UnknownTokenError, TreeArityError, DegenerateWeightsError, ValueError)
+
+
+def outcome(compose, tree, lexicon, cfg):
+    """The root entry, or the exact type of the error raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return compose(tree, lexicon, cfg)
+    except FAULTS as err:
+        return type(err)
+
+
+@st.composite
+def lexicons(draw):
+    """Two to four words with some zero alphas; a large scale makes some
+    compositions overflow."""
+    scale = draw(st.sampled_from([1.0, 1.0, 1e100, 1e160]))
+    floats = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    words = {}
+    for k in range(draw(st.integers(min_value=2, max_value=4))):
+        v = np.array(draw(st.lists(floats, min_size=4, max_size=4))) * scale
+        m = np.array(draw(st.lists(floats, min_size=16, max_size=16))).reshape(4, 4)
+        alpha = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]))
+        words[f"w{k}"] = entry(f"w{k}", v, m * scale, alpha)
+    return Lexicon(LAY211, words)
+
+
+@st.composite
+def trees(draw, tokens, wide, depth=0):
+    """Binary trees over ``tokens``; with ``wide``, some nodes are unary
+    or ternary."""
+    if depth >= 5 or draw(st.integers(min_value=0, max_value=2)) == 0:
+        return ParseTree.leaf("W", draw(st.sampled_from(tokens)))
+    widths = [1, 2, 2, 2, 3] if wide else [2]
+    children = [
+        draw(trees(tokens, wide, depth + 1)) for _ in range(draw(st.sampled_from(widths)))
+    ]
+    return ParseTree.node(draw(st.sampled_from(["S", "NP", "VP"])), children)
+
+
+class TestComposeTreeIsTheFold:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), lexicons(), st.sampled_from([DEFAULT, IMPROVED]))
+    def test_same_root_or_same_error(self, data, lexicon, cfg):
+        tokens = list(lexicon.tokens) + data.draw(st.sampled_from([[], ["ghost"]]))
+        tree = data.draw(trees(tokens, data.draw(st.booleans())))
+        got = outcome(compose_tree, tree, lexicon, cfg)
+        want = outcome(fold, tree, lexicon, cfg)
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert got.token == want.token
+        assert np.array_equal(got.v.values, want.v.values)
+        assert np.array_equal(got.M.entries, want.M.entries)
+        assert got.alpha == want.alpha
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("(S (N ghost) (VP (N is) (N not) (N blue)))", UnknownTokenError),
+            ("(S (VP (N is) (N not) (N blue)) (N ghost))", TreeArityError),
+            # the fold checks a node's arity before it looks at its leaves
+            ("(S (NP (N ghost)) (N car))", TreeArityError),
+            ("(S (N car) (NP (N ghost) (N car) (N car)))", TreeArityError),
+        ],
+    )
+    def test_errors_come_in_the_fold_order(self, sentence_lexicon, text, error):
+        tree = parse_bracketed(text)
+        for compose in (fold, compose_tree):
+            with pytest.raises(error):
+                compose(tree, sentence_lexicon, DEFAULT)
+
+    def test_overflow_names_the_first_node_in_post_order(self):
+        big = entry("big", [1e300] * 4, 1e10 * np.eye(4))
+        one = entry("one", [1.0] * 4, np.eye(4))
+        lex = Lexicon(LAY211, {"big": big, "one": one})
+        tree = parse_bracketed("(S (A (W one) (W one)) (B (W one) (C (W big) (W big))))")
+        with pytest.raises(ValueError) as err:
+            compose_tree(tree, lex, DEFAULT)
+        assert str(err.value) == (
+            "semantic vector entries are not finite after composing "
+            "node 'C' over leaves 4-5"
+        )
+
+
+class TestDeepChain:
+    def test_hundred_thousand_levels_compose_like_an_explicit_loop(self):
+        """A right-branching chain 10^5 deep over words whose M = 0.5 I:
+        the vectors stay bounded, and an explicit loop from the bottom
+        up, doing compose_pair's arithmetic, gives the same root."""
+        depth = 10**5
+        rng = np.random.default_rng(3)
+        words = {}
+        for k in range(5):
+            words[f"w{k}"] = entry(f"w{k}", rng.uniform(-1, 1, 4), 0.5 * np.eye(4), k / 2)
+        lex = Lexicon(LAY211, words)
+        tokens = [f"w{k}" for k in rng.integers(0, 5, depth + 1)]
+        text = "".join(f"(C (W {t}) " for t in tokens[:-1]) + f"(W {tokens[-1]})" + ")" * depth
+        root = compose_tree(parse_bracketed(text), lex, IMPROVED)
+
+        arrays = {t: (e.v.values, e.M.entries, e.alpha) for t, e in words.items()}
+        v, m, alpha = arrays[tokens[-1]]
+        for token in reversed(tokens[:-1]):
+            v_a, m_a, alpha_a = arrays[token]
+            v = m_a @ v + m @ v_a
+            weight = alpha_a / (alpha_a + alpha)
+            m = weight * m_a + (1.0 - weight) * m
+            alpha = max(alpha_a, alpha)
+        assert np.array_equal(root.v.values, v)
+        assert np.array_equal(root.M.entries, m)
+        assert root.alpha == alpha
+        assert root.token == "(" + " (".join(tokens[:-1]) + " " + tokens[-1] + ")" * depth

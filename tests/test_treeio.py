@@ -56,6 +56,27 @@ class TestParse:
         with pytest.raises(TreeParseError):
             parse_bracketed(bad)
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("  ", "expected '('", 2),
+            ("x(S a)", "expected '('", 0),
+            ("( ", "missing tag after '('", 2),
+            ("((S a))", "missing tag after '('", 1),
+            ("(S (A a) (B ))", "empty node", 13),
+            ("(S (A a) (B", "unbalanced brackets: unexpected end of input", 11),
+            ("(S a (B b))", "node mixes bare tokens with subtrees", 4),
+            ("(S (B b) a c)", "node mixes bare tokens with subtrees", 10),
+            ("(S (A a)\n (B b c))", "leaf has more than one token", 16),
+            ("(S (A a)(B b))(C c)", "trailing content after tree", 14),
+        ],
+    )
+    def test_each_error_names_its_offset(self, text, message, offset):
+        with pytest.raises(TreeParseError) as err:
+            parse_bracketed(text)
+        assert str(err.value) == f"{message} (offset {offset})"
+        assert err.value.offset == offset
+
     def test_offsets_point_at_the_problem(self):
         with pytest.raises(TreeParseError) as err:
             parse_bracketed("(S (NP (Det this))) trailing")
@@ -156,3 +177,39 @@ class TestBinarizeProperties:
     @given(random_trees())
     def test_round_trips_through_text(self, tree):
         assert parse_bracketed(format_tree(tree)) == tree
+
+
+class TestDeepTrees:
+    """Nothing recurses: a chain 10^5 levels deep goes through every tree
+    operation with the default recursion limit."""
+
+    DEPTH = 10**5
+
+    @pytest.fixture(scope="class")
+    def chain_text(self):
+        # odd levels are unary, so binarize has nodes to collapse
+        opens = "".join(
+            "(U " if i % 2 else f"(X (W w{i % 7}) " for i in range(self.DEPTH)
+        )
+        return opens + "(W end)" + ")" * self.DEPTH
+
+    @pytest.fixture(scope="class")
+    def chain(self, chain_text):
+        return parse_bracketed(chain_text)
+
+    def test_parse_format_and_compare(self, chain_text, chain):
+        assert format_tree(chain) == chain_text
+        assert repr(chain) == f"<ParseTree {chain_text}>"
+        again = parse_bracketed(format_tree(chain))
+        assert again == chain and hash(again) == hash(chain)
+        assert len(chain.fringe()) == self.DEPTH // 2 + 1
+        assert chain.fringe()[-1] == "end"
+
+    @pytest.mark.parametrize("strategy", ["right", "left"])
+    def test_binarize_collapses_every_unary_level(self, chain, strategy):
+        binary = binarize(chain, strategy)
+        assert binary.fringe() == chain.fringe()
+        text = format_tree(binary)
+        assert "(U " not in text
+        assert text.count("(X ") == self.DEPTH // 2
+        assert binarize(binary, strategy) == binary
