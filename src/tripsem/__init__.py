@@ -5,7 +5,7 @@ stable-value, and inverted-value segments, a function matrix M describing
 how the word transforms its neighbors, and a propagation weight alpha.
 The package provides the diminutive negation operator J_mu over such
 vectors, one composition step ``compose_pair``, ``compose_tree``, which
-evaluates a binary parse tree with that step's arithmetic in one pass over
+evaluates a binary parse tree by running the same step in one pass over
 the tree's flat post-order arrays, lexicon I/O with seeded deterministic
 initialization, and least-squares fits of the negation constraint system
 that show the baseline model cannot satisfy it while the alpha-weighted
@@ -54,7 +54,7 @@ from .errors import (
     UnknownTokenError,
 )
 from .lexicon import Lexicon, init_random, set_function_word
-from .numerics import DenseMatrix, cosine, least_squares
+from .numerics import cosine, least_squares
 from .treeio import ParseTree, binarize, format_tree, parse_bracketed, parse_forest
 
 __version__ = "0.1.0"
@@ -92,7 +92,6 @@ __all__ = [
     "parse_forest",
     "format_tree",
     "binarize",
-    "DenseMatrix",
     "cosine",
     "least_squares",
     "TripsemError",

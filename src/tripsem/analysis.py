@@ -27,7 +27,8 @@ underlying derivation:
   without such a substitution, giving rows 2 M_not = 0.
 * The improved fit solves the value block first, then the alpha_not rows
   (alpha_not * M_not_hat = 0 and alpha_not * M_a = 0, the Z-cleared forms)
-  with the fitted matrix substituted.
+  with the fitted matrix substituted. Their right-hand side is zero, so
+  that step is closed-form: alpha_not = 0 with residual 0.
 
 Unknowns are ordered [vec(M_not) row-major, then v_not]. The systems are
 solved through their normal equations, which have structure: the
@@ -61,7 +62,7 @@ from .core import (
 )
 from .errors import DimensionError
 from .lexicon import Lexicon
-from .numerics import DenseMatrix, cosine, least_squares
+from .numerics import cosine, least_squares
 from .treeio import ParseTree, binarize
 
 __all__ = [
@@ -104,7 +105,8 @@ class FitResult:
     ``residual_value`` and ``residual_function`` are the 2-norms of the
     residuals over the value and function row families;
     ``residual_total`` is their quadrature sum. ``alpha_not_hat`` is None
-    for baseline fits, which have no propagation-weight unknown.
+    for baseline fits, which have no propagation-weight unknown; the
+    improved fit's closed-form alpha step gives 0.0, with residual 0.0.
     ``solver`` names the path that solved for (M_not, v_not):
     "structured", "svd", or "closed-form" for the function-only fit.
     """
@@ -390,9 +392,10 @@ def fit_negation_improved(
     baseline's and is solved first. The function requirements, cleared of
     the Z denominator, reduce to alpha_not * M_not = 0 and
     alpha_not * M_a = 0; with the fitted M_not substituted they are linear
-    in alpha_not and are satisfied exactly by alpha_not = 0, so the whole
-    system is consistent and the total residual vanishes (up to solver
-    tolerance) whenever the two operators agree.
+    in alpha_not with a zero right-hand side, so their minimum-norm
+    solution is alpha_not = 0 in closed form, with residual_function = 0.
+    The whole system is therefore consistent and the total residual
+    vanishes (up to solver tolerance) whenever the two operators agree.
     """
     _check_fit_inputs(samples, op, op2)
     for entry in samples.entries:
@@ -404,24 +407,14 @@ def fit_negation_improved(
     layout = samples.layout
     m_not_hat, v_not_hat, res_value, _, solver = _fit(samples, op, op2, "value")
 
-    # One unknown (alpha_not); rows per sample for both Z-cleared forms.
-    columns = []
-    for entry in samples.entries:
-        columns.append(m_not_hat.reshape(-1))
-        columns.append(entry.M.entries.reshape(-1))
-    design = DenseMatrix(np.concatenate(columns)[:, None])
-    alpha_sol, res_function = least_squares(design, np.zeros(design.rows))
-    alpha_not = float(alpha_sol[0])
-    if alpha_not == 0.0:
-        alpha_not = 0.0  # normalize -0.0 so reports print "0.0"
-
+    # The alpha_not rows have a zero right-hand side: min-norm alpha_not = 0.
     return FitResult(
         M_not_hat=FunctionMatrix(m_not_hat, layout),
         v_not_hat=SemanticVector(v_not_hat, layout),
-        alpha_not_hat=alpha_not,
+        alpha_not_hat=0.0,
         residual_value=res_value,
-        residual_function=res_function,
-        residual_total=math.hypot(res_value, res_function),
+        residual_function=0.0,
+        residual_total=res_value,
         solver=solver,
     )
 

@@ -14,9 +14,10 @@ the vector rule v_p = M_a v_b + M_b v_a and differ only in the weights
 
 Under both models the parent weight is alpha_p = max(alpha_a, alpha_b).
 
-``compose_tree`` evaluates a whole binary tree in one pass over its flat
-post-order arrays, computing each internal node exactly as ``compose_pair``
-would, on plain arrays, and wraps only the root in a ``LexicalEntry``.
+Both public functions run one step kernel, ``_step``, on plain arrays.
+``compose_pair`` wraps its result in a ``LexicalEntry``; ``compose_tree``
+evaluates a whole binary tree in one pass over its flat post-order arrays,
+calling the kernel once per internal node, and wraps only the root.
 """
 
 from __future__ import annotations
@@ -47,6 +48,32 @@ class CompositionConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
 
+def _step(va, ma, aa, vb, mb, ab, baseline: bool, where) -> tuple:
+    """The composition step on plain arrays: the parent's (v, M, alpha).
+
+    ``where()`` names the step and is called only to word an error. Callers
+    hold numpy's overflow warnings off: a non-finite parent is reported
+    only through the ``ValueError`` here."""
+    v = ma @ vb + mb @ va
+    if baseline:
+        m = ma + mb
+    else:
+        z = aa + ab
+        if z == 0.0:
+            raise DegenerateWeightsError(f"both alphas are zero at {where()}")
+        weight_a = aa / z
+        m = weight_a * ma + (1.0 - weight_a) * mb
+    # Squares sum to a finite number only when every entry is finite,
+    # unless a large finite entry overflows them: then look closer.
+    if not math.isfinite(v.dot(v) + np.vdot(m, m)):
+        for what, values in (("semantic vector", v), ("function matrix", m)):
+            if not np.isfinite(values).all():
+                raise ValueError(
+                    f"{what} entries are not finite after composing {where()}"
+                )
+    return v, m, max(aa, ab)
+
+
 def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> LexicalEntry:
     """One composition step under the configured model."""
     layout = a.layout
@@ -55,23 +82,16 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
             f"cannot compose {a.token!r} (layout {layout}) with "
             f"{b.token!r} (layout {b.layout})"
         )
-    ma, mb = a.M.entries, b.M.entries
-    v_p = ma @ b.v.values + mb @ a.v.values
-    if cfg.model == "baseline":
-        m_p = ma + mb
-    else:
-        z = a.alpha + b.alpha
-        if z == 0.0:
-            raise DegenerateWeightsError(
-                f"both alphas are zero composing {a.token!r} with {b.token!r}"
-            )
-        weight_a = a.alpha / z
-        m_p = weight_a * ma + (1.0 - weight_a) * mb
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_p, m_p, alpha_p = _step(
+            a.v.values, a.M.entries, a.alpha, b.v.values, b.M.entries, b.alpha,
+            cfg.model == "baseline", lambda: f"{a.token!r} and {b.token!r}",
+        )
     return LexicalEntry(
         f"({a.token} {b.token})",
         SemanticVector(v_p, layout),
         FunctionMatrix(m_p, layout),
-        max(a.alpha, b.alpha),
+        alpha_p,
     )
 
 
@@ -99,11 +119,10 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
 
     One loop over the post-order arrays keeps a stack of plain
     (v, M, alpha) arrays: a leaf pushes its entry's arrays, an internal node
-    replaces its two children by their composition, with the operands,
-    order and weights of ``compose_pair``, so the root is bit for bit the
-    post-order fold of ``compose_pair``. A leaf root is its lexicon entry;
-    any other root is a new ``LexicalEntry`` whose token is the fold's
-    ``"(a b)"`` string. Errors are those of the fold, in its order:
+    replaces its two children by the result of the step ``compose_pair``
+    runs, so the root is bit for bit the post-order fold of
+    ``compose_pair``. A leaf root is its lexicon entry; any other root is a
+    new ``LexicalEntry`` whose token is the fold's ``"(a b)"`` string. Errors are those of the fold, in its order:
     ``TreeArityError``, ``UnknownTokenError``, ``DegenerateWeightsError``,
     and a one-line ``ValueError`` naming the first node, by tag and leaf
     span, whose vector or matrix is not finite. Overflow is reported only
@@ -116,6 +135,10 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     baseline = cfg.model == "baseline"
     leaves: dict[str, tuple] = {}
     stack: list[tuple] = []
+
+    def where() -> str:  # reads the loop's j: the node being composed
+        return _describe(tree, j)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(lo, stop):
             token = tokens[j]
@@ -128,27 +151,7 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
                 continue
             vb, mb, ab = stack.pop()
             va, ma, aa = stack[-1]
-            v = ma @ vb + mb @ va
-            if baseline:
-                m = ma + mb
-            else:
-                z = aa + ab
-                if z == 0.0:
-                    raise DegenerateWeightsError(
-                        f"both alphas are zero at {_describe(tree, j)}"
-                    )
-                weight_a = aa / z
-                m = weight_a * ma + (1.0 - weight_a) * mb
-            # Squares sum to a finite number only when every entry is finite,
-            # unless a large finite entry overflows them: then look closer.
-            if not math.isfinite(v.dot(v) + np.vdot(m, m)):
-                for what, values in (("semantic vector", v), ("function matrix", m)):
-                    if not np.isfinite(values).all():
-                        raise ValueError(
-                            f"{what} entries are not finite after composing "
-                            f"{_describe(tree, j)}"
-                        )
-            stack[-1] = (v, m, max(aa, ab))
+            stack[-1] = _step(va, ma, aa, vb, mb, ab, baseline, where)
     if stop < hi:
         raise TreeArityError(
             f"node {tags[wide]!r} has {len(kids[wide])} children; "

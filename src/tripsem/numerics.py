@@ -1,21 +1,20 @@
 """Minimal dense linear-algebra kernel used by the rest of the package.
 
-Everything runs in double precision on row-major numpy arrays. The kernel
-is deliberately tiny: an immutable matrix type, cosine similarity, and a
-least-squares solve.
-Matrices of a few hundred rows/columns are the intended scale.
+Everything runs in double precision on plain numpy arrays. The kernel is
+deliberately tiny: cosine similarity and a least-squares solve, each
+validating its inputs. Matrices of a few hundred rows/columns are the
+intended scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, UndefinedSimilarityError
 
-__all__ = ["DenseMatrix", "cosine", "least_squares"]
+__all__ = ["cosine", "least_squares"]
 
 # Singular values below RANK_TOL * s_max are treated as zero in least_squares.
 RANK_TOL = 1e-10
@@ -28,66 +27,6 @@ def as_vector(v: Sequence[float] | np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class DenseMatrix:
-    """Immutable dense real matrix, row-major.
-
-    ``data`` is coerced to a fresh, read-only float64 array at construction,
-    so instances may be shared freely between threads.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C")
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-D matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.data.reshape(-1)
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(np.zeros((rows, cols)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self.data.shape == other.data.shape and bool(
-            np.array_equal(self.data, other.data)
-        )
-
-    __hash__ = None  # mutable-by-content semantics; not hashable
-
-
-def _matrix_data(m) -> np.ndarray:
-    """Accept a DenseMatrix or a 2-D array-like."""
-    if isinstance(m, DenseMatrix):
-        return m.data
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {arr.shape}")
     return arr
 
 
@@ -116,14 +55,19 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
 
 
 def least_squares(design, targets: Sequence[float] | np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize |design @ x - targets| in the 2-norm.
+    """Minimize |design @ x - targets| over x, for a finite 2-D ``design``
+    and a finite ``targets`` vector with one entry per row.
 
     Returns ``(solution, residual_norm)``. Solved through an SVD-based
     orthogonal factorization; singular values below ``RANK_TOL`` times the
     largest are treated as zero, and rank-deficient systems deterministically
     yield the minimum-norm solution.
     """
-    data = _matrix_data(design)
+    data = np.asarray(design, dtype=np.float64)
+    if data.ndim != 2:
+        raise DimensionError(f"expected a 2-D design matrix, got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("design entries must be finite")
     b = as_vector(targets)
     if data.shape[0] != b.shape[0]:
         raise DimensionError(

@@ -361,6 +361,27 @@ class TestImprovedFit:
             math.hypot(fit.residual_value, fit.residual_function), rel=1e-12
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(fit_problem(lambda threshold: (1, 3 * (threshold + 1))))
+    def test_alpha_step_is_the_least_squares_solution(self, problem):
+        """The closed-form alpha step equals least_squares on the explicit
+        one-column design of the Z-cleared rows, which is the reference."""
+        samples, mu, nu, _ = problem
+        layout = samples.layout
+        fit = fit_negation_improved(
+            samples, NegationOperator(mu, layout), NegationOperator(nu, layout)
+        )
+        columns = []
+        for entry in samples.entries:
+            columns.append(fit.M_not_hat.entries.reshape(-1))
+            columns.append(entry.M.entries.reshape(-1))
+        design = np.concatenate(columns)[:, None]
+        alpha, residual = least_squares(design, np.zeros(len(design)))
+        assert fit.alpha_not_hat == alpha[0] == 0.0
+        assert math.copysign(1.0, fit.alpha_not_hat) == 1.0
+        assert fit.residual_function == residual == 0.0
+        assert fit.residual_total == fit.residual_value
+
 
 class TestCheckDoubleNegation:
     def _entry(self, values, layout=LAY211):

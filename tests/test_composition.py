@@ -1,5 +1,6 @@
 """The composition step under both models, and tree-driven composition."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -144,8 +145,43 @@ class TestComposeImproved:
     def test_both_alphas_zero_errors_by_default(self):
         a = entry("a", [1.0, 0.0, 0.0, 0.0], np.eye(4), alpha=0.0)
         b = entry("b", [0.0, 1.0, 0.0, 0.0], np.eye(4), alpha=0.0)
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(DegenerateWeightsError) as err:
             compose_pair(a, b, IMPROVED)
+        assert str(err.value) == "both alphas are zero at 'a' and 'b'"
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT, IMPROVED])
+def test_compose_pair_overflow_is_one_error_without_numpy_warnings(cfg):
+    left = entry("left", [1e300] * 4, 1e10 * np.eye(4))
+    right = entry("right", [1e300] * 4, 1e10 * np.eye(4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as err:
+            compose_pair(left, right, cfg)
+    assert [w.message for w in caught] == []
+    assert str(err.value) == (
+        "semantic vector entries are not finite after composing 'left' and 'right'"
+    )
+
+
+def test_compose_pair_and_compose_tree_run_one_step(monkeypatch, not_and_blue):
+    calls = []
+    step = composition._step
+
+    def counted(*args):
+        calls.append(args[-1]())
+        return step(*args)
+
+    monkeypatch.setattr(composition, "_step", counted)
+    a, b = not_and_blue
+    compose_pair(a, b, DEFAULT)
+    lex = Lexicon(LAY211, {"not": a, "blue": b})
+    compose_tree(parse_bracketed("(S (A (W not) (W blue)) (W blue))"), lex, IMPROVED)
+    assert calls == [
+        "'not' and 'blue'",
+        "node 'A' over leaves 1-2",
+        "node 'S' over leaves 1-3",
+    ]
 
 
 def test_compose_pair_dispatches_on_model(not_and_blue):

@@ -196,18 +196,32 @@ class TestSerialization:
             st.floats(allow_nan=False, allow_infinity=False, width=64),
             min_size=4,
             max_size=4,
-        )
+        ),
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            min_size=16,
+            max_size=16,
+        ),
+        st.one_of(st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False)),
     )
-    def test_any_finite_values_round_trip_bitwise(self, values):
+    def test_any_finite_values_round_trip_bitwise(self, values, matrix, alpha):
+        # bit patterns, not ==, so -0.0 and every subnormal must come back exactly
         entry = LexicalEntry(
             "w",
             SemanticVector(values, LAY211),
-            FunctionMatrix.identity(LAY211),
-            1.0,
+            FunctionMatrix(np.reshape(matrix, (4, 4)), LAY211),
+            alpha,
         )
         lex = Lexicon(LAY211, {"w": entry})
-        back = loads(dumps(lex))
-        assert np.array_equal(back["w"].v.values, np.array(values, dtype=float))
+        back = loads(dumps(lex))["w"]
+
+        def bits(x):
+            return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+        assert np.array_equal(bits(back.v.values), bits(values))
+        for got, want in zip(back.M.entries, np.reshape(matrix, (4, 4))):
+            assert np.array_equal(bits(got), bits(want))
+        assert bits(back.alpha) == bits(alpha)
 
 
 class TestLoadErrors:

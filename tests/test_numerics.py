@@ -1,48 +1,19 @@
-"""Dense kernel: the matrix type, cosine, least squares against naive oracles."""
+"""Dense kernel: cosine and least squares against naive oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripsem import numerics
 from tripsem.errors import DimensionError, UndefinedSimilarityError
-from tripsem.numerics import DenseMatrix, cosine, least_squares
+from tripsem.numerics import cosine, least_squares
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
-class TestDenseMatrix:
-    def test_coerces_to_readonly_float64(self):
-        m = DenseMatrix([[1, 2], [3, 4]])
-        assert m.data.dtype == np.float64
-        assert m.data.flags["C_CONTIGUOUS"]
-        with pytest.raises(ValueError):
-            m.data[0, 0] = 9.0
-
-    def test_rows_cols_entries(self):
-        m = DenseMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert (m.rows, m.cols) == (2, 3)
-        # entries is the row-major flattening
-        assert m.entries.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-    def test_identity_and_zeros(self):
-        assert DenseMatrix.identity(3) == DenseMatrix(np.eye(3))
-        assert DenseMatrix.zeros(2, 4) == DenseMatrix(np.zeros((2, 4)))
-
-    def test_equality_is_by_content(self):
-        a = DenseMatrix([[1.0]])
-        assert a == DenseMatrix([[1.0]])
-        assert a != DenseMatrix([[2.0]])
-        assert a != DenseMatrix([[1.0, 0.0]])
-        assert a != "not a matrix"
-
-    def test_rejects_bad_shapes_and_values(self):
-        with pytest.raises(DimensionError):
-            DenseMatrix([1.0, 2.0])
-        with pytest.raises(ValueError):
-            DenseMatrix([[np.nan]])
-        with pytest.raises(ValueError):
-            DenseMatrix([[np.inf, 0.0]])
+def test_module_exports_cosine_and_least_squares_only():
+    assert numerics.__all__ == ["cosine", "least_squares"]
 
 
 class TestCosine:
@@ -93,13 +64,13 @@ class TestCosine:
 
 class TestLeastSquares:
     def test_square_exact(self):
-        x, res = least_squares(DenseMatrix([[2.0, 0.0], [0.0, 3.0]]), [4.0, 9.0])
+        x, res = least_squares([[2.0, 0.0], [0.0, 3.0]], [4.0, 9.0])
         np.testing.assert_allclose(x, [2.0, 3.0], rtol=1e-14)
         assert res == pytest.approx(0.0, abs=1e-13)
 
     def test_identity_design_returns_targets(self):
         t = [0.25, -3.0, 7.5]
-        x, res = least_squares(DenseMatrix.identity(3), t)
+        x, res = least_squares(np.eye(3), t)
         np.testing.assert_allclose(x, t, rtol=1e-14)
         assert res <= 1e-9 * (1.0 + np.linalg.norm(t))
 
@@ -108,18 +79,18 @@ class TestLeastSquares:
         for _ in range(10):
             a = rng.standard_normal((12, 3))
             b = rng.standard_normal(12)
-            _, res = least_squares(DenseMatrix(a), b)
+            _, res = least_squares(a, b)
             assert res <= float(np.linalg.norm(b)) + 1e-12
 
     def test_overdetermined_inconsistent(self):
         # rows x = 0 and x = 2: best compromise x = 1, residual sqrt(2)
-        x, res = least_squares(DenseMatrix([[1.0], [1.0]]), [0.0, 2.0])
+        x, res = least_squares([[1.0], [1.0]], [0.0, 2.0])
         assert x[0] == pytest.approx(1.0)
         assert res == pytest.approx(np.sqrt(2.0))
 
     def test_rank_deficient_returns_min_norm(self):
         # x1 + x2 = 2 has a line of solutions; the min-norm one is (1, 1)
-        x, res = least_squares(DenseMatrix([[1.0, 1.0]]), [2.0])
+        x, res = least_squares([[1.0, 1.0]], [2.0])
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-12)
         assert res == pytest.approx(0.0, abs=1e-13)
 
@@ -131,20 +102,22 @@ class TestLeastSquares:
             cols = int(rng.integers(1, 5))
             a = rng.standard_normal((rows, cols))
             b = rng.standard_normal(rows)
-            x, res = least_squares(DenseMatrix(a), b)
+            x, res = least_squares(a, b)
             x_ne = np.linalg.solve(a.T @ a, a.T @ b)
             np.testing.assert_allclose(x, x_ne, rtol=1e-8, atol=1e-10)
             assert res == pytest.approx(float(np.linalg.norm(a @ x_ne - b)), rel=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            least_squares(DenseMatrix.identity(2), [1.0, 2.0, 3.0])
+            least_squares(np.eye(2), [1.0, 2.0, 3.0])
 
-    def test_plain_array_design_matches_dense_matrix(self):
-        rng = np.random.default_rng(8)
-        a, b = rng.standard_normal((6, 3)), rng.standard_normal(6)
-        x_arr, res_arr = least_squares(a, b)
-        x_dm, res_dm = least_squares(DenseMatrix(a), b)
-        assert np.array_equal(x_arr, x_dm) and res_arr == res_dm
+    def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(DimensionError):
             least_squares(np.ones(3), [1.0, 2.0, 3.0])
+        with pytest.raises(DimensionError):
+            least_squares(np.ones((2, 2, 1)), [1.0, 2.0])
+        # a NaN or inf entry is rejected before it reaches the solver
+        with pytest.raises(ValueError, match="design entries must be finite"):
+            least_squares([[np.nan]], [1.0])
+        with pytest.raises(ValueError, match="design entries must be finite"):
+            least_squares([[np.inf, 0.0]], [1.0])
