@@ -46,7 +46,7 @@ zero in closed form. ``FitResult.solver`` says which ran.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,23 +186,18 @@ def default_demo_samples(
 ) -> SampleSet:
     """Seeded demonstration samples: v uniform in [-1, 1], M = I + noise * G.
 
-    Draws violating the sample assumptions are redrawn (vector first, then
-    matrix, each until valid), so the set is deterministic in
-    (count, layout, seed, noise).
+    The set is deterministic in (count, layout, seed, noise). A draw that
+    violates the sample assumptions is not redrawn: ``SampleSet`` rejects
+    it with ``ValueError``, as it does every draw at ``noise = 0``, where
+    each M is the identity.
     """
     n = layout.n
     rng = np.random.default_rng(seed)
     eye = np.eye(n)
     entries = []
     for i in range(count):
-        while True:
-            v = rng.uniform(-1.0, 1.0, n)
-            if np.any(v):
-                break
-        while True:
-            m = eye + noise * rng.standard_normal((n, n))
-            if np.any(m) and not np.array_equal(m, eye):
-                break
+        v = rng.uniform(-1.0, 1.0, n)
+        m = eye + noise * rng.standard_normal((n, n))
         entries.append(
             LexicalEntry(
                 f"w{i:02d}", SemanticVector(v, layout), FunctionMatrix(m, layout), 1.0
@@ -326,18 +321,21 @@ def _solve_svd(
 
 def _fit(
     samples: SampleSet, op: NegationOperator, op2: NegationOperator, constraints: str
-) -> tuple[np.ndarray, np.ndarray, float, float, str]:
-    """(M_not, v_not, residual_value, residual_function, solver).
+) -> FitResult:
+    """The baseline fit of (M_not, v_not) under ``constraints``.
 
     The function rows M_not = 0 and 2 M_not = 0 of S samples weigh
     c = 5S on |M_not|_F^2. The structured solve runs when it measures
     the system well-conditioned, the SVD otherwise.
     """
-    n = samples.layout.n
+    layout = samples.layout
     if constraints == "function":
         # v_not appears in no function row, and M_not = 0 satisfies every
         # one, so zero is the exact minimum-norm solution.
-        return np.zeros((n, n)), np.zeros(n), 0.0, 0.0, "closed-form"
+        return FitResult(
+            FunctionMatrix.zeros(layout), SemanticVector.zeros(layout),
+            None, 0.0, 0.0, 0.0, "closed-form",
+        )
     w, ma, t = _value_triples(samples, op, op2)
     c = 0.0 if constraints == "value" else 5.0 * len(samples)
     solver = "structured"
@@ -348,7 +346,10 @@ def _fit(
     m, v = solution
     res_value = float(np.linalg.norm(w @ m.T + ma @ v - t))
     res_function = math.sqrt(c) * float(np.linalg.norm(m))
-    return m, v, res_value, res_function, solver
+    return FitResult(
+        FunctionMatrix(m, layout), SemanticVector(v, layout), None,
+        res_value, res_function, math.hypot(res_value, res_function), solver,
+    )
 
 
 def fit_negation_baseline(
@@ -370,17 +371,7 @@ def fit_negation_baseline(
             f"constraints must be one of {CONSTRAINT_FAMILIES}, got {constraints!r}"
         )
     _check_fit_inputs(samples, op, op2)
-    layout = samples.layout
-    m, v, res_value, res_function, solver = _fit(samples, op, op2, constraints)
-    return FitResult(
-        M_not_hat=FunctionMatrix(m, layout),
-        v_not_hat=SemanticVector(v, layout),
-        alpha_not_hat=None,
-        residual_value=res_value,
-        residual_function=res_function,
-        residual_total=math.hypot(res_value, res_function),
-        solver=solver,
-    )
+    return _fit(samples, op, op2, constraints)
 
 
 def fit_negation_improved(
@@ -404,19 +395,9 @@ def fit_negation_improved(
                 f"sample {entry.token!r} has alpha = {entry.alpha}; improved-model "
                 "samples must have alpha > 0"
             )
-    layout = samples.layout
-    m_not_hat, v_not_hat, res_value, _, solver = _fit(samples, op, op2, "value")
-
-    # The alpha_not rows have a zero right-hand side: min-norm alpha_not = 0.
-    return FitResult(
-        M_not_hat=FunctionMatrix(m_not_hat, layout),
-        v_not_hat=SemanticVector(v_not_hat, layout),
-        alpha_not_hat=0.0,
-        residual_value=res_value,
-        residual_function=0.0,
-        residual_total=res_value,
-        solver=solver,
-    )
+    # The value-only fit has residual_function 0, and the alpha_not rows
+    # have a zero right-hand side: min-norm alpha_not = 0.
+    return replace(_fit(samples, op, op2, "value"), alpha_not_hat=0.0)
 
 
 # ---------------------------------------------------------------------------

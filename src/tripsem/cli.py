@@ -7,8 +7,10 @@ reports can be diffed in tests). Exit status is 0 on success, 1 when a
 verify check fails, and 2 on usage errors (bad flags, missing files,
 unknown words, layout mismatches, an improved-model step whose alphas are
 both zero, a composed vector or matrix that overflows), which also print
-a one-line ``tripsem: ...`` diagnostic to stderr. Trees of any depth are
-read and composed; the parser and composer loop over flat arrays.
+a one-line ``tripsem: ...`` diagnostic to stderr. A layout too large to
+allocate and any other floating-point overflow exit 2 the same way, never
+with a numpy warning. Trees of any depth are read and composed; the
+parser and composer loop over flat arrays.
 
 verify checks and their pass conditions:
 
@@ -368,8 +370,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
-    except (TripsemError, OSError, ValueError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (TripsemError, OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"tripsem: {exc}", file=sys.stderr)
         return 2
 

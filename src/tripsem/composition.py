@@ -18,6 +18,9 @@ Both public functions run one step kernel, ``_step``, on plain arrays.
 ``compose_pair`` wraps its result in a ``LexicalEntry``; ``compose_tree``
 evaluates a whole binary tree in one pass over its flat post-order arrays,
 calling the kernel once per internal node, and wraps only the root.
+It checks the arity of the whole tree before it looks up any leaf: a
+node with other than two children raises ``TreeArityError`` naming the
+first such node in post-order.
 """
 
 from __future__ import annotations
@@ -95,22 +98,6 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
     )
 
 
-def _arity_stop(kids: tuple, lo: int, hi: int) -> tuple[int, int]:
-    """(position, node) of the first non-binary node the recursive fold
-    meets, or (hi, -1). The fold checks a node's arity before it descends,
-    so it stops at the start of that node's subtree: the smallest subtree
-    start, and on a tie the outermost node, which is the later one."""
-    first: list[int] = []
-    stop, node = hi, -1
-    for j in range(lo, hi):
-        ks = kids[j]
-        start = first[ks[0] - lo] if ks else j
-        first.append(start)
-        if ks and len(ks) != 2 and start <= stop:
-            stop, node = start, j
-    return stop, node
-
-
 def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> LexicalEntry:
     """Evaluate a binary tree bottom-up, left to right.
 
@@ -122,16 +109,23 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     replaces its two children by the result of the step ``compose_pair``
     runs, so the root is bit for bit the post-order fold of
     ``compose_pair``. A leaf root is its lexicon entry; any other root is a
-    new ``LexicalEntry`` whose token is the fold's ``"(a b)"`` string. Errors are those of the fold, in its order:
-    ``TreeArityError``, ``UnknownTokenError``, ``DegenerateWeightsError``,
-    and a one-line ``ValueError`` naming the first node, by tag and leaf
-    span, whose vector or matrix is not finite. Overflow is reported only
+    new ``LexicalEntry`` whose token is the fold's ``"(a b)"`` string.
+
+    Arity is checked first, over the whole tree: the first node in
+    post-order with other than two children raises ``TreeArityError``
+    before any lexicon lookup. The other errors are those of the fold, in
+    its order: ``UnknownTokenError``, ``DegenerateWeightsError``, and a
+    one-line ``ValueError`` naming the first node, by tag and leaf span,
+    whose vector or matrix is not finite. Overflow is reported only
     through that error, never as a numpy warning.
     """
     tags, tokens, kids, lo, hi = _post_order(tree)
-    stop, wide = hi, -1
     if not set(map(len, kids[lo:hi])) <= {0, 2}:
-        stop, wide = _arity_stop(kids, lo, hi)
+        wide = next(j for j in range(lo, hi) if len(kids[j]) not in (0, 2))
+        raise TreeArityError(
+            f"node {tags[wide]!r} has {len(kids[wide])} children; "
+            "composition needs a binary tree (binarize first)"
+        )
     baseline = cfg.model == "baseline"
     leaves: dict[str, tuple] = {}
     stack: list[tuple] = []
@@ -140,7 +134,7 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
         return _describe(tree, j)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(lo, stop):
+        for j in range(lo, hi):
             token = tokens[j]
             if token is not None:
                 leaf = leaves.get(token)
@@ -152,11 +146,6 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
             vb, mb, ab = stack.pop()
             va, ma, aa = stack[-1]
             stack[-1] = _step(va, ma, aa, vb, mb, ab, baseline, where)
-    if stop < hi:
-        raise TreeArityError(
-            f"node {tags[wide]!r} has {len(kids[wide])} children; "
-            "composition needs a binary tree (binarize first)"
-        )
     if tokens[hi - 1] is not None:
         return lexicon[tokens[hi - 1]]
     v, m, alpha = stack[0]

@@ -168,7 +168,7 @@ class NegationOperator:
         object.__setattr__(self, "mu", mu)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LexicalEntry:
     """A word: its token, semantic vector, function matrix, and the
     propagation weight alpha controlling how far its function carries."""
@@ -194,16 +194,6 @@ class LexicalEntry:
     @property
     def layout(self) -> SegmentLayout:
         return self.v.layout
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LexicalEntry):
-            return NotImplemented
-        return (
-            self.token == other.token
-            and self.v == other.v
-            and self.M == other.M
-            and self.alpha == other.alpha
-        )
 
     __hash__ = None
 

@@ -24,6 +24,7 @@ then n*n row-major standard normals for the matrix noise.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -51,7 +52,7 @@ def _check_token(token: str):
         raise ValueError(f"token must be nonempty and whitespace-free, got {token!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Lexicon:
     """Immutable token -> LexicalEntry mapping with a shared layout."""
 
@@ -98,15 +99,6 @@ class Lexicon:
         new_entries[entry.token] = entry
         return Lexicon(self.layout, new_entries, self.mu_default)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Lexicon):
-            return NotImplemented
-        return (
-            self.layout == other.layout
-            and self.mu_default == other.mu_default
-            and self.entries == other.entries
-        )
-
     __hash__ = None
 
 
@@ -122,7 +114,7 @@ def init_random(
     if not tokens:
         raise ValueError("tokens must be nonempty")
     if len(set(tokens)) != len(tokens):
-        dupes = sorted({t for t in tokens if list(tokens).count(t) > 1})
+        dupes = sorted(t for t, k in Counter(tokens).items() if k > 1)
         raise ValueError(f"duplicate tokens: {', '.join(dupes)}")
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
@@ -130,13 +122,15 @@ def init_random(
     rng = np.random.default_rng(seed)
     eye = np.eye(n)
     entries: dict[str, LexicalEntry] = {}
-    for token in tokens:
-        _check_token(token)
-        v = rng.uniform(-1.0, 1.0, n)
-        m = eye + noise * rng.standard_normal((n, n))
-        entries[token] = LexicalEntry(
-            token, SemanticVector(v, layout), FunctionMatrix(m, layout), 1.0
-        )
+    # A huge noise overflows to inf, which FunctionMatrix rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for token in tokens:
+            _check_token(token)
+            v = rng.uniform(-1.0, 1.0, n)
+            m = eye + noise * rng.standard_normal((n, n))
+            entries[token] = LexicalEntry(
+                token, SemanticVector(v, layout), FunctionMatrix(m, layout), 1.0
+            )
     return Lexicon(layout, entries, mu_default)
 
 
@@ -173,21 +167,17 @@ def set_function_word(
 # serialization
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def dumps(lex: Lexicon) -> str:
     lines = [
         MAGIC,
         f"layout {lex.layout.d_domain} {lex.layout.d_stable} {lex.layout.d_inverted}",
-        f"# mu_default {_fmt(lex.mu_default)}",
+        f"# mu_default {lex.mu_default!r}",
     ]
     for entry in lex:
-        lines.append(f"word {entry.token} {_fmt(entry.alpha)}")
-        lines.append("v " + " ".join(_fmt(x) for x in entry.v.values))
-        for row in entry.M.entries:
-            lines.append("m " + " ".join(_fmt(x) for x in row))
+        lines.append(f"word {entry.token} {entry.alpha!r}")
+        lines.append("v " + " ".join(map(repr, entry.v.values.tolist())))
+        for row in entry.M.entries.tolist():
+            lines.append("m " + " ".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

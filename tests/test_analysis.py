@@ -114,6 +114,10 @@ class TestDefaultDemoSamples:
             assert np.array_equal(a.M.entries, b.M.entries)
             assert a.alpha == 1.0
 
+    def test_zero_noise_is_rejected_not_redrawn_forever(self):
+        with pytest.raises(ValueError, match="^sample 'w00' has the identity as function matrix$"):
+            default_demo_samples(noise=0.0)
+
 
 def naive_joint_system(samples, mu, nu):
     """Independent row construction with explicit index loops."""

@@ -1,8 +1,11 @@
 """CLI behavior: report formats, exit codes, determinism."""
 
 import re
+import shlex
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,22 @@ class TestLexiconInit:
         )
         assert code == 2
         assert "layout must be D,S,I" in capsys.readouterr().err
+
+    def test_overflowing_noise_is_one_line_without_numpy_warnings(self, tmp_path, fixtures_dir):
+        # a subprocess, so that numpy's warnings reach stderr unfiltered
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "tripsem.cli", "lexicon-init",
+                "--words", str(fixtures_dir / "words.txt"),
+                "--out", str(tmp_path / "x.lex"),
+                "--noise", "1e308",
+            ],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "tripsem: function matrix entries must be finite\n"
 
 
 class TestNegate:
@@ -403,6 +422,24 @@ class TestArgumentErrors:
             "tripsem: mu_default must lie in (0, 1], got 2.0 (line 3)\n"
         )
 
+    # A 10^9 layout asks for 8 EB, which fails at allocation without
+    # touching memory. Do not try layouts whose n^2 doubles could fit in RAM.
+    def test_layout_too_large_to_allocate_exits_two(self, tmp_path, fixtures_dir, capsys):
+        lex = tmp_path / "big.lex"
+        lex.write_text("TRIPSEM 1\nlayout 1000000000 0 1\n", encoding="utf-8")
+        tree = tmp_path / "pair.tree"
+        tree.write_text("(S (RB not) (JJ blue))\n", encoding="utf-8")
+        words = str(fixtures_dir / "words.txt")
+        for argv in (
+            ["lexicon-init", "--words", words, "--out", str(tmp_path / "x.lex"),
+             "--layout", "1000000000,0,1"],
+            ["verify", "scope", "--lexicon", str(lex), "--tree", str(tree)],
+        ):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("tripsem: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.lex").exists()
+
     def test_missing_lexicon_file(self, tmp_path, capsys):
         code = run(["negate", "--lexicon", str(tmp_path / "gone.lex"), "--word", "a"])
         assert code == 2
@@ -421,3 +458,17 @@ def test_console_entry_point(demo_lexicon_path):
         check=True,
     )
     assert result.stdout.splitlines()[0] == "sim a: blue"
+
+
+def test_readme_cli_block_runs_from_the_repository_root(tmp_path, monkeypatch, capsys):
+    """Every ``tripsem`` command of README's CLI block exits 0 when run
+    from a copy of the repository root's ``tests/fixtures``."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in commands if line.startswith("tripsem ")]
+    assert len(commands) == 6
+    shutil.copytree(Path(__file__).parent / "fixtures", tmp_path / "tests" / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv[1:]) == 0, (argv, capsys.readouterr().err)

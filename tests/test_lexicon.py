@@ -1,5 +1,7 @@
 """Lexicon construction, presets, and the text serialization format."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -110,6 +112,18 @@ class TestInitRandom:
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError):
             init_random(["x", "x"], LAY211, seed=0, noise=0.1)
+
+    def test_duplicate_among_many_tokens_is_found_in_linear_time(self):
+        tokens = [f"w{i}" for i in range(40_000)] + ["w17"]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^duplicate tokens: w17$"):
+            init_random(tokens, LAY211, seed=0, noise=0.1)
+        assert time.perf_counter() - start < 2.0
+
+    def test_overflowing_noise_is_one_error_without_numpy_warnings(self):
+        # pyproject.toml's filterwarnings makes a numpy RuntimeWarning fail this test
+        with pytest.raises(ValueError, match="^function matrix entries must be finite$"):
+            init_random(["x", "y"], LAY211, seed=0, noise=1e308)
 
     def test_empty_token_list_rejected(self):
         with pytest.raises(ValueError):
