@@ -61,7 +61,7 @@ from .core import (
     negate_vector,
 )
 from .errors import DimensionError
-from .lexicon import Lexicon
+from .lexicon import Lexicon, init_random
 from .numerics import cosine, least_squares
 from .treeio import ParseTree, binarize
 
@@ -184,26 +184,17 @@ def default_demo_samples(
     seed: int = DEMO_SEED,
     noise: float = DEMO_NOISE,
 ) -> SampleSet:
-    """Seeded demonstration samples: v uniform in [-1, 1], M = I + noise * G.
+    """Seeded demonstration samples: the entries of ``init_random`` over the
+    tokens w00, w01, ...: v uniform in [-1, 1], M = I + noise * G.
 
     The set is deterministic in (count, layout, seed, noise). A draw that
     violates the sample assumptions is not redrawn: ``SampleSet`` rejects
     it with ``ValueError``, as it does every draw at ``noise = 0``, where
-    each M is the identity.
+    each M is the identity. ``init_random`` raises ``ValueError`` for a
+    negative ``noise`` and for ``count = 0``.
     """
-    n = layout.n
-    rng = np.random.default_rng(seed)
-    eye = np.eye(n)
-    entries = []
-    for i in range(count):
-        v = rng.uniform(-1.0, 1.0, n)
-        m = eye + noise * rng.standard_normal((n, n))
-        entries.append(
-            LexicalEntry(
-                f"w{i:02d}", SemanticVector(v, layout), FunctionMatrix(m, layout), 1.0
-            )
-        )
-    return SampleSet(tuple(entries))
+    tokens = [f"w{i:02d}" for i in range(count)]
+    return SampleSet(tuple(init_random(tokens, layout, seed, noise)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ as shortest round-trip decimals (so repeated runs are byte-identical and
 reports can be diffed in tests). Exit status is 0 on success, 1 when a
 verify check fails, and 2 on usage errors (bad flags, missing files,
 unknown words, layout mismatches, an improved-model step whose alphas are
-both zero, a composed vector or matrix that overflows), which also print
-a one-line ``tripsem: ...`` diagnostic to stderr. A layout too large to
-allocate and any other floating-point overflow exit 2 the same way, never
-with a numpy warning. Trees of any depth are read and composed; the
-parser and composer loop over flat arrays.
+both zero, a composed vector or matrix that overflows), which print
+nothing on stdout and a one-line ``tripsem: ...`` diagnostic on stderr.
+A failing verify check (exit 1) still prints its whole report. A layout
+too large to allocate and any other floating-point overflow exit 2 the
+same way, never with a numpy warning. Trees of any depth are read and
+composed; the parser and composer loop over flat arrays.
 
 verify checks and their pass conditions:
 
@@ -41,9 +42,11 @@ import numpy as np
 from .analysis import (
     SampleSet,
     check_double_negation,
+    domain_similarity,
     fit_negation_baseline,
     fit_negation_improved,
     scope_invariance_report,
+    value_similarity,
 )
 from .composition import MODELS, CompositionConfig, compose_tree
 from .core import (
@@ -56,11 +59,10 @@ from .core import (
 )
 from .errors import TripsemError
 from .lexicon import Lexicon, init_random, load, save, set_function_word
+from .numerics import cosine
 from .treeio import binarize, parse_forest
 
 __all__ = ["run", "main"]
-
-VERIFY_CHECKS = ("contradiction", "improved-fit", "double-negation", "scope")
 
 # Fit results below FIT_TOL count as exact; contradiction residuals must
 # clear RESIDUAL_FLOOR, far above lstsq noise on these problem sizes.
@@ -74,18 +76,14 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, np.ndarray):
+        return " ".join(repr(float(x)) for x in value)
     return str(value)
 
 
-def _emit(prefix: str, key: str, value) -> None:
-    print(f"{prefix} {key}: {_fmt(value)}".rstrip())
-
-
-def _emit_segments(prefix: str, key: str, vector) -> None:
-    names = ("domain", "stable", "inverted")
-    for name, segment in zip(names, split_segments(vector)):
-        joined = " ".join(repr(float(x)) for x in segment)
-        _emit(prefix, f"{key}.{name}", joined)
+def _segments(key: str, vector) -> list:
+    names = (f"{key}.domain", f"{key}.stable", f"{key}.inverted")
+    return list(zip(names, split_segments(vector)))
 
 
 def _parse_layout(text: str) -> SegmentLayout:
@@ -119,78 +117,71 @@ def _read_one_tree(path: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps the parsed args to (report rows, passed)
 
 
-def _cmd_lexicon_init(args) -> int:
+def _cmd_lexicon_init(args) -> tuple[list, bool]:
     tokens = _read_words(args.words)
     layout = _parse_layout(args.layout)
     lex = init_random(tokens, layout, args.seed, args.noise, mu_default=args.not_mu)
     lex = set_function_word(lex, "not", "negation", mu=args.not_mu)
     save(lex, args.out)
-    prefix = "lexicon-init"
-    _emit(prefix, "words", len(lex))
-    _emit(prefix, "layout", args.layout)
-    _emit(prefix, "seed", args.seed)
-    _emit(prefix, "noise", float(args.noise))
-    _emit(prefix, "not_mu", float(args.not_mu))
-    _emit(prefix, "out", args.out)
-    return 0
+    return [
+        ("words", len(lex)),
+        ("layout", args.layout),
+        ("seed", args.seed),
+        ("noise", float(args.noise)),
+        ("not_mu", float(args.not_mu)),
+        ("out", args.out),
+    ], True
 
 
-def _cmd_negate(args) -> int:
+def _cmd_negate(args) -> tuple[list, bool]:
     lex = load(args.lexicon)
     entry = lex[args.word]
     mu = lex.mu_default if args.mu is None else args.mu
     op = NegationOperator(mu, lex.layout)
     negated = negate_vector(entry.v, op)
-    prefix = "negate"
-    _emit(prefix, "word", args.word)
-    _emit(prefix, "mu", float(mu))
-    _emit_segments(prefix, "original", entry.v)
-    _emit_segments(prefix, "negated", negated)
-    return 0
+    rows = [("word", args.word), ("mu", float(mu))]
+    return rows + _segments("original", entry.v) + _segments("negated", negated), True
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> tuple[list, bool]:
     lex = load(args.lexicon)
     tree = binarize(_read_one_tree(args.tree), strategy=args.binarize)
     cfg = CompositionConfig(model=args.model)
     root = compose_tree(tree, lex, cfg)
-    prefix = "compose"
-    _emit(prefix, "model", args.model)
-    _emit(prefix, "tree", args.tree)
-    _emit_segments(prefix, "root.v", root.v)
-    _emit(prefix, "root.M.frobenius", root.M.frobenius_norm())
-    _emit(prefix, "root.alpha", float(root.alpha))
-    return 0
+    return [
+        ("model", args.model),
+        ("tree", args.tree),
+        *_segments("root.v", root.v),
+        ("root.M.frobenius", root.M.frobenius_norm()),
+        ("root.alpha", float(root.alpha)),
+    ], True
 
 
-def _cmd_sim(args) -> int:
-    from .analysis import domain_similarity, value_similarity
+_SIM_REGIONS = {
+    "domain": domain_similarity,
+    "value": value_similarity,
+    "full": lambda a, b: cosine(a.v.values, b.v.values),
+}
 
+
+def _cmd_sim(args) -> tuple[list, bool]:
     lex = load(args.lexicon)
-    a, b = lex[args.a], lex[args.b]
-    if args.region == "domain":
-        value = domain_similarity(a, b)
-    elif args.region == "value":
-        value = value_similarity(a, b)
-    else:
-        from .numerics import cosine
-
-        value = cosine(a.v.values, b.v.values)
-    prefix = "sim"
-    _emit(prefix, "a", args.a)
-    _emit(prefix, "b", args.b)
-    _emit(prefix, "region", args.region)
-    _emit(prefix, "cosine", value)
-    return 0
+    value = _SIM_REGIONS[args.region](lex[args.a], lex[args.b])
+    return [("a", args.a), ("b", args.b), ("region", args.region), ("cosine", value)], True
 
 
-def _verify_contradiction(lex: Lexicon, prefix: str) -> bool:
+def _fit_inputs(lex: Lexicon):
     samples = SampleSet.from_lexicon(lex)
     op = NegationOperator(lex.mu_default, lex.layout)
-    j_mu = make_negation_matrix(op).entries
+    head = [("samples", len(samples)), ("mu", float(lex.mu_default))]
+    return samples, op, make_negation_matrix(op).entries, head
+
+
+def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
+    samples, op, j_mu, rows = _fit_inputs(lex)
     joint = fit_negation_baseline(samples, op, op)
     value_only = fit_negation_baseline(samples, op, op, constraints="value")
     function_only = fit_negation_baseline(samples, op, op, constraints="function")
@@ -199,21 +190,21 @@ def _verify_contradiction(lex: Lexicon, prefix: str) -> bool:
     value_v_error = float(np.linalg.norm(value_only.v_not_hat.values))
     function_m_error = float(np.linalg.norm(function_only.M_not_hat.entries))
 
-    _emit(prefix, "samples", len(samples))
-    _emit(prefix, "mu", float(lex.mu_default))
-    _emit(prefix, "residual_value", joint.residual_value)
-    _emit(prefix, "residual_function", joint.residual_function)
-    _emit(prefix, "residual_total", joint.residual_total)
-    _emit(prefix, "residual_floor", RESIDUAL_FLOOR)
-    _emit(prefix, "value_only.m_error", value_m_error)
-    _emit(prefix, "value_only.v_error", value_v_error)
-    _emit(prefix, "value_only.residual", value_only.residual_value)
-    _emit(prefix, "function_only.m_error", function_m_error)
-    _emit(prefix, "function_only.residual", function_only.residual_function)
-    _emit(prefix, "joint.solver", joint.solver)
-    _emit(prefix, "value_only.solver", value_only.solver)
-    _emit(prefix, "function_only.solver", function_only.solver)
-    return (
+    rows += [
+        ("residual_value", joint.residual_value),
+        ("residual_function", joint.residual_function),
+        ("residual_total", joint.residual_total),
+        ("residual_floor", RESIDUAL_FLOOR),
+        ("value_only.m_error", value_m_error),
+        ("value_only.v_error", value_v_error),
+        ("value_only.residual", value_only.residual_value),
+        ("function_only.m_error", function_m_error),
+        ("function_only.residual", function_only.residual_function),
+        ("joint.solver", joint.solver),
+        ("value_only.solver", value_only.solver),
+        ("function_only.solver", function_only.solver),
+    ]
+    return rows, (
         joint.residual_total > RESIDUAL_FLOOR
         and value_m_error <= FIT_TOL
         and value_v_error <= FIT_TOL
@@ -223,22 +214,20 @@ def _verify_contradiction(lex: Lexicon, prefix: str) -> bool:
     )
 
 
-def _verify_improved_fit(lex: Lexicon, prefix: str) -> bool:
-    samples = SampleSet.from_lexicon(lex)
-    op = NegationOperator(lex.mu_default, lex.layout)
-    j_mu = make_negation_matrix(op).entries
+def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
+    samples, op, j_mu, rows = _fit_inputs(lex)
     fit = fit_negation_improved(samples, op, op)
     m_error = float(np.linalg.norm(fit.M_not_hat.entries - j_mu))
     v_error = float(np.linalg.norm(fit.v_not_hat.values))
-    _emit(prefix, "samples", len(samples))
-    _emit(prefix, "mu", float(lex.mu_default))
-    _emit(prefix, "alpha_not", fit.alpha_not_hat)
-    _emit(prefix, "m_error", m_error)
-    _emit(prefix, "v_error", v_error)
-    _emit(prefix, "residual_total", fit.residual_total)
-    _emit(prefix, "tolerance", FIT_TOL)
-    _emit(prefix, "solver", fit.solver)
-    return (
+    rows += [
+        ("alpha_not", fit.alpha_not_hat),
+        ("m_error", m_error),
+        ("v_error", v_error),
+        ("residual_total", fit.residual_total),
+        ("tolerance", FIT_TOL),
+        ("solver", fit.solver),
+    ]
+    return rows, (
         abs(fit.alpha_not_hat) <= FIT_TOL
         and m_error <= FIT_TOL
         and v_error <= FIT_TOL
@@ -246,7 +235,7 @@ def _verify_improved_fit(lex: Lexicon, prefix: str) -> bool:
     )
 
 
-def _verify_double_negation(lex: Lexicon, prefix: str) -> bool:
+def _verify_double_negation(lex: Lexicon, args) -> tuple[list, bool]:
     op = NegationOperator(lex.mu_default, lex.layout)
     expect_diminutive = lex.mu_default * lex.mu_default < 1.0
     all_domain, all_signs, all_dim = True, True, True
@@ -259,19 +248,20 @@ def _verify_double_negation(lex: Lexicon, prefix: str) -> bool:
         if np.any(entry.v.values[lex.layout.inverted_slice]):
             checked_dim += 1
             all_dim = all_dim and report.diminutive
-    _emit(prefix, "mu", float(lex.mu_default))
-    _emit(prefix, "nu", float(lex.mu_default))
-    _emit(prefix, "words", len(lex))
-    _emit(prefix, "words_with_inverted_mass", checked_dim)
-    _emit(prefix, "domain_unchanged", all_domain)
-    _emit(prefix, "signs_restored", all_signs)
-    _emit(prefix, "diminutive", all_dim)
-    _emit(prefix, "words_underflowed", underflowed)
-    return all_domain and all_signs and (all_dim or not expect_diminutive)
+    return [
+        ("mu", float(lex.mu_default)),
+        ("nu", float(lex.mu_default)),
+        ("words", len(lex)),
+        ("words_with_inverted_mass", checked_dim),
+        ("domain_unchanged", all_domain),
+        ("signs_restored", all_signs),
+        ("diminutive", all_dim),
+        ("words_underflowed", underflowed),
+    ], all_domain and all_signs and (all_dim or not expect_diminutive)
 
 
-def _verify_scope(lex: Lexicon, tree_path: str, prefix: str) -> bool:
-    tree = _read_one_tree(tree_path)
+def _verify_scope(lex: Lexicon, args) -> tuple[list, bool]:
+    tree = _read_one_tree(args.tree)
     n = lex.layout.n
     rng = np.random.default_rng(0)
     perturbation = FunctionMatrix(rng.standard_normal((n, n)), lex.layout)
@@ -283,35 +273,35 @@ def _verify_scope(lex: Lexicon, tree_path: str, prefix: str) -> bool:
     )
     p_norm = baseline.perturbation_norm
     baseline_error = abs(baseline.delta - p_norm)
-    _emit(prefix, "tree", tree_path)
-    _emit(prefix, "perturbation_norm", p_norm)
-    _emit(prefix, "baseline.delta", baseline.delta)
-    _emit(prefix, "baseline.error", baseline_error)
-    _emit(prefix, "improved.delta", improved.delta)
-    _emit(prefix, "tolerance", SCOPE_TOL)
-    return (
+    rows = [
+        ("tree", args.tree),
+        ("perturbation_norm", p_norm),
+        ("baseline.delta", baseline.delta),
+        ("baseline.error", baseline_error),
+        ("improved.delta", improved.delta),
+        ("tolerance", SCOPE_TOL),
+    ]
+    return rows, (
         improved.delta <= SCOPE_TOL
         and baseline_error <= SCOPE_TOL * max(1.0, p_norm)
     )
 
 
-def _cmd_verify(args) -> int:
+_VERIFY = {
+    "contradiction": _verify_contradiction,
+    "improved-fit": _verify_improved_fit,
+    "double-negation": _verify_double_negation,
+    "scope": _verify_scope,
+}
+VERIFY_CHECKS = tuple(_VERIFY)
+
+
+def _cmd_verify(args) -> tuple[list, bool]:
     if args.check == "scope" and args.tree is None:
         raise ValueError("verify scope requires --tree")
-    lex = load(args.lexicon)
-    prefix = "verify"
-    _emit(prefix, "check", args.check)
-    _emit(prefix, "lexicon", args.lexicon)
-    if args.check == "contradiction":
-        ok = _verify_contradiction(lex, prefix)
-    elif args.check == "improved-fit":
-        ok = _verify_improved_fit(lex, prefix)
-    elif args.check == "double-negation":
-        ok = _verify_double_negation(lex, prefix)
-    else:
-        ok = _verify_scope(lex, args.tree, prefix)
-    _emit(prefix, "result", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    rows, ok = _VERIFY[args.check](load(args.lexicon), args)
+    head = [("check", args.check), ("lexicon", args.lexicon)]
+    return head + rows + [("result", "PASS" if ok else "FAIL")], ok
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--region", choices=("domain", "value", "full"), default="full")
+    p.add_argument("--region", choices=tuple(_SIM_REGIONS), default="full")
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("verify", help="run a negation analysis check")
@@ -371,10 +361,13 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            rows, ok = args.func(args)
     except (TripsemError, OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"tripsem: {exc}", file=sys.stderr)
         return 2
+    for key, value in rows:
+        print(f"{args.command} {key}: {_fmt(value)}".rstrip())
+    return 0 if ok else 1
 
 
 def main() -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNegationError, DimensionError
+from .numerics import unit_scaled
 
 __all__ = [
     "SegmentLayout",
@@ -138,7 +139,8 @@ class FunctionMatrix:
         return cls(np.zeros((layout.n, layout.n)), layout)
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        scaled, exp = unit_scaled(self.entries)
+        return float(np.ldexp(np.linalg.norm(scaled), exp))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionMatrix):

@@ -8,6 +8,7 @@ intended scale.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -30,16 +31,25 @@ def as_vector(v: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr
 
 
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a * 2**-e, e)``, with ``e`` bringing the largest magnitude into [0.5, 1)
+    (0 for a zero array), so norms and dot products neither overflow nor underflow."""
+    _, exp = math.frexp(float(np.max(np.abs(a), initial=0.0)))
+    return np.ldexp(a, -exp), exp
+
+
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
     """Cosine similarity dot(u, v) / (|u| |v|), in [-1, 1].
 
     Undefined (raises UndefinedSimilarityError) when either vector is zero.
     Bitwise-identical and bitwise-opposite inputs short-circuit to exactly
-    1.0 and -1.0, so the trivial cases are free of rounding fuzz.
+    1.0 and -1.0, so the trivial cases are free of rounding fuzz. Each
+    vector is first scaled by a power of two, exactly, so nothing overflows.
     """
     a, b = as_vector(u), as_vector(v)
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    a, b = unit_scaled(a)[0], unit_scaled(b)[0]
     norm_a = float(np.linalg.norm(a))
     norm_b = float(np.linalg.norm(b))
     if norm_a == 0.0 and norm_b == 0.0:

@@ -118,6 +118,17 @@ class TestDefaultDemoSamples:
         with pytest.raises(ValueError, match="^sample 'w00' has the identity as function matrix$"):
             default_demo_samples(noise=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"noise": -0.1}, "^noise must be finite and >= 0"),
+            ({"count": 0}, "^tokens must be nonempty$"),
+        ],
+    )
+    def test_negative_noise_and_zero_count_are_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            default_demo_samples(**kwargs)
+
 
 def naive_joint_system(samples, mu, nu):
     """Independent row construction with explicit index loops."""

@@ -1,5 +1,6 @@
 """CLI behavior: report formats, exit codes, determinism."""
 
+import math
 import re
 import shlex
 import shutil
@@ -241,6 +242,20 @@ class TestCompose:
         assert run(argv + ["--model", "baseline"]) == 0
         assert "compose root.alpha: 0.0" in lines_of(capsys)
 
+    def test_huge_finite_leaf_reports_a_finite_norm(self, tmp_path, capsys):
+        lex = tmp_path / "huge.lex"
+        lex.write_text(
+            "TRIPSEM 1\nlayout 1 1 1\nword a 1\n"
+            "v 1e200 1 1\nm 1e200 0 0\nm 0 1 0\nm 0 0 1\n",
+            encoding="utf-8",
+        )
+        tree = tmp_path / "leaf.tree"
+        tree.write_text("(W a)\n", encoding="utf-8")
+        assert run(["compose", "--lexicon", str(lex), "--tree", str(tree)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "compose root.M.frobenius: 1e+200" in captured.out.splitlines()
+
     def test_tree_file_must_hold_one_tree(self, demo_lexicon_path, tmp_path, capsys):
         tree = tmp_path / "two.tree"
         tree.write_text("(N car)\n\n(N car)\n", encoding="utf-8")
@@ -286,6 +301,24 @@ class TestSim:
         code = run(["sim", *DEMO_ARGS(demo_lexicon_path), "--a", "car", "--b", "car"])
         assert code == 0
         assert "sim cosine: 1.0" in lines_of(capsys)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_give_the_true_cosine(self, tmp_path, capsys, scale):
+        def word(name, v):
+            return f"word {name} 1\nv {v}\nm 1 0 0\nm 0 1 0\nm 0 0 1\n"
+
+        lex = tmp_path / "extreme.lex"
+        lex.write_text(
+            "TRIPSEM 1\nlayout 1 1 1\n"
+            + word("a", f"{scale!r} {scale!r} 0")
+            + word("b", f"{scale!r} {-scale / 10!r} 0"),
+            encoding="utf-8",
+        )
+        assert run(["sim", "--lexicon", str(lex), "--a", "a", "--b", "b"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        value = float(captured.out.splitlines()[-1].removeprefix("sim cosine: "))
+        assert value == pytest.approx(0.9 / math.sqrt(2 * 1.01), abs=1e-15)
 
     def test_zero_vector_is_a_usage_error(self, demo_lexicon_path, capsys):
         # the "not" preset stores an all-zero vector
@@ -381,6 +414,29 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""  # no partial report before the usage error
         assert "requires --tree" in captured.err
+
+    def test_scope_tree_without_not_prints_no_report(self, demo_lexicon_path, tmp_path, capsys):
+        tree = tmp_path / "no_not.tree"
+        tree.write_text("(S (N car) (JJ blue))\n", encoding="utf-8")
+        argv = ["verify", "scope", *DEMO_ARGS(demo_lexicon_path), "--tree", str(tree)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tripsem: tree must contain exactly one 'not' leaf, found 0\n"
+
+    def test_fit_without_samples_prints_no_report(self, tmp_path, capsys):
+        # the "not" preset is not a sample, so no sample is left
+        lex = tmp_path / "not_only.lex"
+        lex.write_text(
+            "TRIPSEM 1\nlayout 1 1 1\nword not 0.0\n"
+            "v 0 0 0\nm 1 0 0\nm 0 1 0\nm 0 0 -0.5\n",
+            encoding="utf-8",
+        )
+        assert run(["verify", "contradiction", "--lexicon", str(lex)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tripsem: ")
+        assert captured.err.count("\n") == 1
 
     def test_failing_check_exits_one(self, tmp_path, capsys):
         # five words cannot pin down 72 unknowns: the value-only fit finds a

@@ -89,6 +89,14 @@ class TestFunctionMatrix:
         m = FunctionMatrix(np.full((4, 4), 0.5), LAY211)
         assert m.frobenius_norm() == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [(np.diag([1e200, 1.0, 1.0, 1.0]), 1e200), (np.full((4, 4), 1e-180), 4e-180)],
+    )
+    def test_frobenius_norm_of_extreme_entries(self, entries, expected):
+        m = FunctionMatrix(entries, LAY211)
+        assert m.frobenius_norm() == pytest.approx(expected, rel=1e-15, abs=0.0)
+
 
 class TestNegationOperator:
     @pytest.mark.parametrize("bad_mu", [0.0, -0.5, 1.0000001, np.nan, np.inf])

@@ -150,17 +150,20 @@ def commands(lexicon, tree):
 
 @FUZZ
 @given(st.data(), mutated(lexicon_texts()), mutated(tree_texts()))
-def test_cli_exits_0_1_or_2_and_1_only_from_verify(tmp_path_factory, data, lex_text, tree_text):
+def test_cli_exits_0_1_or_2_1_only_from_verify_2_with_empty_stdout(
+    tmp_path_factory, data, lex_text, tree_text
+):
     folder = tmp_path_factory.getbasetemp()
     lexicon, tree = folder / "fuzz.lex", folder / "fuzz.tree"
     lexicon.write_text(lex_text, encoding="utf-8")
     tree.write_text(tree_text, encoding="utf-8")
     argv = data.draw(commands(str(lexicon), str(tree)))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2)
     assert code != 1 or argv[0] == "verify"
     if code == 2:
+        assert out.getvalue() == ""
         assert err.getvalue().startswith("tripsem: ")
         assert err.getvalue().count("\n") == 1

@@ -1,5 +1,8 @@
 """Dense kernel: cosine and least squares against naive oracles."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,19 @@ class TestCosine:
             cosine([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(UndefinedSimilarityError):
             cosine([1.0, 0.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "u, v, expected",
+        [
+            ([1e200, 1e200], [1e200, -1e199], 0.9 / math.sqrt(2 * 1.01)),
+            ([1e-200, 1e-200], [1e-200, -1e-201], 0.9 / math.sqrt(2 * 1.01)),
+            ([5e-324, 0.0], [5e-324, 5e-324], 1 / math.sqrt(2)),
+        ],
+    )
+    def test_extreme_magnitudes_give_the_rescaled_cosine(self, u, v, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cosine(u, v) == pytest.approx(expected, abs=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
