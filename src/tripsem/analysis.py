@@ -329,14 +329,22 @@ def _fit(
         )
     w, ma, t = _value_triples(samples, op, op2)
     c = 0.0 if constraints == "value" else 5.0 * len(samples)
-    solver = "structured"
-    solution = _solve_structured(w, ma, t, c)
-    if solution is None:
-        solver = "svd"
-        solution = _solve_svd(w, ma, t, c)
-    m, v = solution
-    res_value = float(np.linalg.norm(w @ m.T + ma @ v - t))
-    res_function = math.sqrt(c) * float(np.linalg.norm(m))
+    # Huge sample values overflow the normal equations or the residuals:
+    # that is reported only through the ValueError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            solver = "structured"
+            solution = _solve_structured(w, ma, t, c)
+            if solution is None:
+                solver = "svd"
+                solution = _solve_svd(w, ma, t, c)
+            m, v = solution
+            res_value = float(np.linalg.norm(w @ m.T + ma @ v - t))
+            res_function = math.sqrt(c) * float(np.linalg.norm(m))
+        except np.linalg.LinAlgError:
+            res_value = res_function = math.nan
+    if not math.isfinite(res_value + res_function):
+        raise ValueError(f"the {constraints!r} fit overflows: sample values too large")
     return FitResult(
         FunctionMatrix(m, layout), SemanticVector(v, layout), None,
         res_value, res_function, math.hypot(res_value, res_function), solver,
@@ -403,7 +411,6 @@ class DoubleNegationReport:
     ``check_double_negation`` relaxes both checks.
     """
 
-    original: SemanticVector
     once: SemanticVector
     twice: SemanticVector
     domain_unchanged: bool
@@ -448,7 +455,6 @@ def check_double_negation(
     shrunk = np.where(small, after <= before, after < before)
     diminutive = bool(np.all(shrunk[nonzero]))
     return DoubleNegationReport(
-        original=original,
         once=once,
         twice=twice,
         domain_unchanged=bool(domain_unchanged),
@@ -491,19 +497,15 @@ def scope_invariance_report(
             f"perturbation layout {perturbation.layout} does not match "
             f"lexicon layout {lexicon.layout}"
         )
-    not_leaves = [leaf for leaf in tree.leaves() if leaf.token == token]
-    if len(not_leaves) != 1:
-        raise ValueError(
-            f"tree must contain exactly one {token!r} leaf, found {len(not_leaves)}"
-        )
+    found = tree.fringe().count(token)
+    if found != 1:
+        raise ValueError(f"tree must contain exactly one {token!r} leaf, found {found}")
     binary = binarize(tree)
     base_entry = lexicon[token]
     root = compose_tree(binary, lexicon, cfg)
-    perturbed_entry = LexicalEntry(
-        base_entry.token,
-        base_entry.v,
-        FunctionMatrix(base_entry.M.entries + perturbation.entries, lexicon.layout),
-        base_entry.alpha,
+    perturbed_entry = replace(
+        base_entry,
+        M=FunctionMatrix(base_entry.M.entries + perturbation.entries, lexicon.layout),
     )
     root_perturbed = compose_tree(binary, lexicon.with_entry(perturbed_entry), cfg)
     delta = float(np.linalg.norm(root_perturbed.M.entries - root.M.entries))
@@ -518,25 +520,23 @@ def scope_invariance_report(
 # dual-space similarity
 
 
-def _semantic_values(x: LexicalEntry | SemanticVector) -> tuple[np.ndarray, SegmentLayout]:
-    if isinstance(x, LexicalEntry):
-        return x.v.values, x.layout
-    return x.values, x.layout
+def _semantic_pair(
+    a: LexicalEntry | SemanticVector, b: LexicalEntry | SemanticVector
+) -> tuple[np.ndarray, np.ndarray, SegmentLayout]:
+    """Both value arrays and the layout they must share."""
+    va, vb = (x.v if isinstance(x, LexicalEntry) else x for x in (a, b))
+    if va.layout != vb.layout:
+        raise DimensionError(f"layout mismatch: {va.layout} vs {vb.layout}")
+    return va.values, vb.values, va.layout
 
 
 def domain_similarity(a: LexicalEntry | SemanticVector, b: LexicalEntry | SemanticVector) -> float:
     """Cosine over the domain segments only."""
-    va, la = _semantic_values(a)
-    vb, lb = _semantic_values(b)
-    if la != lb:
-        raise DimensionError(f"layout mismatch: {la} vs {lb}")
-    return cosine(va[la.domain_slice], vb[la.domain_slice])
+    va, vb, layout = _semantic_pair(a, b)
+    return cosine(va[layout.domain_slice], vb[layout.domain_slice])
 
 
 def value_similarity(a: LexicalEntry | SemanticVector, b: LexicalEntry | SemanticVector) -> float:
     """Cosine over the joint stable+inverted (value) segments."""
-    va, la = _semantic_values(a)
-    vb, lb = _semantic_values(b)
-    if la != lb:
-        raise DimensionError(f"layout mismatch: {la} vs {lb}")
-    return cosine(va[la.d_domain :], vb[la.d_domain :])
+    va, vb, layout = _semantic_pair(a, b)
+    return cosine(va[layout.d_domain :], vb[layout.d_domain :])

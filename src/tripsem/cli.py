@@ -238,25 +238,21 @@ def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
 def _verify_double_negation(lex: Lexicon, args) -> tuple[list, bool]:
     op = NegationOperator(lex.mu_default, lex.layout)
     expect_diminutive = lex.mu_default * lex.mu_default < 1.0
-    all_domain, all_signs, all_dim = True, True, True
-    checked_dim = underflowed = 0
-    for entry in lex:
-        report = check_double_negation(entry, op, op)
-        all_domain = all_domain and report.domain_unchanged
-        all_signs = all_signs and report.signs_restored
-        underflowed += bool(report.underflowed)
-        if np.any(entry.v.values[lex.layout.inverted_slice]):
-            checked_dim += 1
-            all_dim = all_dim and report.diminutive
+    reports = [check_double_negation(entry, op, op) for entry in lex]
+    all_domain = all(r.domain_unchanged for r in reports)
+    all_signs = all(r.signs_restored for r in reports)
+    # diminutive is vacuously true for a word with no inverted mass.
+    all_dim = all(r.diminutive for r in reports)
+    inverted = lex.layout.inverted_slice
     return [
         ("mu", float(lex.mu_default)),
         ("nu", float(lex.mu_default)),
         ("words", len(lex)),
-        ("words_with_inverted_mass", checked_dim),
+        ("words_with_inverted_mass", sum(bool(np.any(e.v.values[inverted])) for e in lex)),
         ("domain_unchanged", all_domain),
         ("signs_restored", all_signs),
         ("diminutive", all_dim),
-        ("words_underflowed", underflowed),
+        ("words_underflowed", sum(bool(r.underflowed) for r in reports)),
     ], all_domain and all_signs and (all_dim or not expect_diminutive)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .core import FunctionMatrix, LexicalEntry, SemanticVector
 from .errors import DegenerateWeightsError, DimensionError, TreeArityError
 from .lexicon import Lexicon
-from .treeio import ParseTree, _bracketed, _describe, _post_order
+from .treeio import ParseTree, _bracketed, _describe
 
 __all__ = ["CompositionConfig", "compose_pair", "compose_tree"]
 
@@ -119,7 +119,8 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     whose vector or matrix is not finite. Overflow is reported only
     through that error, never as a numpy warning.
     """
-    tags, tokens, kids, lo, hi = _post_order(tree)
+    tags, tokens, kids = tree._tags, tree._tokens, tree._kids
+    lo, hi = tree._first(), tree._i + 1
     if not set(map(len, kids[lo:hi])) <= {0, 2}:
         wide = next(j for j in range(lo, hi) if len(kids[j]) not in (0, 2))
         raise TreeArityError(

@@ -59,10 +59,6 @@ class SegmentLayout:
         return self.d_domain + self.d_stable + self.d_inverted
 
     @property
-    def d_value(self) -> int:
-        return self.d_stable + self.d_inverted
-
-    @property
     def domain_slice(self) -> slice:
         return slice(0, self.d_domain)
 
@@ -96,10 +92,6 @@ class SemanticVector:
         arr = _frozen_array(self.values, (self.layout.n,), "semantic vector")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
     @classmethod
     def zeros(cls, layout: SegmentLayout) -> "SemanticVector":
         return cls(np.zeros(layout.n), layout)
@@ -125,10 +117,6 @@ class FunctionMatrix:
         n = self.layout.n
         arr = _frozen_array(self.entries, (n, n), "function matrix")
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.layout.n
 
     @classmethod
     def identity(cls, layout: SegmentLayout) -> "FunctionMatrix":

@@ -40,16 +40,12 @@ from .core import (
     make_negation_matrix,
 )
 from .errors import DegenerateNegationError, LexiconFormatError, UnknownTokenError
+from .treeio import _check_word
 
 __all__ = ["Lexicon", "init_random", "set_function_word", "dumps", "loads", "save", "load"]
 
 MAGIC = "TRIPSEM 1"
 PRESETS = ("negation", "identity")
-
-
-def _check_token(token: str):
-    if not token or any(ch.isspace() for ch in token):
-        raise ValueError(f"token must be nonempty and whitespace-free, got {token!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class Lexicon:
             raise ValueError(f"mu_default must lie in (0, 1], got {self.mu_default!r}")
         object.__setattr__(self, "mu_default", mu)
         for token, entry in self.entries.items():
-            _check_token(token)
+            _check_word(token, "token")
             if entry.token != token:
                 raise ValueError(f"entry token {entry.token!r} filed under {token!r}")
             if entry.layout != self.layout:
@@ -88,10 +84,6 @@ class Lexicon:
 
     def __iter__(self) -> Iterator[LexicalEntry]:
         return iter(self.entries.values())
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.entries)
 
     def with_entry(self, entry: LexicalEntry) -> "Lexicon":
         """A new lexicon with ``entry`` added or replaced."""
@@ -125,7 +117,7 @@ def init_random(
     # A huge noise overflows to inf, which FunctionMatrix rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for token in tokens:
-            _check_token(token)
+            _check_word(token, "token")
             v = rng.uniform(-1.0, 1.0, n)
             m = eye + noise * rng.standard_normal((n, n))
             entries[token] = LexicalEntry(
@@ -145,7 +137,7 @@ def set_function_word(
     """
     if preset not in PRESETS:
         raise ValueError(f"preset must be one of {PRESETS}, got {preset!r}")
-    _check_token(token)
+    _check_word(token, "token")
     layout = lex.layout
     if preset == "negation":
         if layout.d_inverted < 1:

@@ -99,15 +99,6 @@ class ParseTree:
             i = kids[i][0]
         return i
 
-    def leaves(self) -> tuple["ParseTree", ...]:
-        arrays = (self._tags, self._tokens, self._kids)
-        tokens = self._tokens
-        return tuple(
-            ParseTree(*arrays, j)
-            for j in range(self._first(), self._i + 1)
-            if tokens[j] is not None
-        )
-
     def fringe(self) -> tuple[str, ...]:
         """Leaf tokens, left to right."""
         return tuple(filter(None, self._tokens[self._first() : self._i + 1]))
@@ -287,11 +278,6 @@ def binarize(tree: ParseTree, strategy: str = "right") -> ParseTree:
                 emit(tags[parent] + "*", None, (acc[parent], nj)) if parent in acc else nj
             )
     return ParseTree(tuple(out_tags), tuple(out_tokens), tuple(out_kids), len(out_tags) - 1)
-
-
-def _post_order(tree: ParseTree) -> tuple[tuple, tuple, tuple, int, int]:
-    """(tags, tokens, child indices, lo, hi): ``tree`` is nodes lo .. hi - 1."""
-    return tree._tags, tree._tokens, tree._kids, tree._first(), tree._i + 1
 
 
 def _describe(tree: ParseTree, j: int) -> str:

@@ -1,6 +1,8 @@
 """Negation constraint fits, double-negation/scope reports, similarities."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +222,28 @@ class TestBaselineFit:
             fit_negation_baseline(
                 spanning_samples(), op211(0.5), op211(0.5), constraints="half"
             )
+
+
+class TestOverflowingSamples:
+    """Six 1,1,1 samples at about 1e200: the normal equations overflow."""
+
+    @pytest.mark.parametrize("fit, name", [
+        (lambda s, op: fit_negation_baseline(s, op, op), "both"),
+        (lambda s, op: fit_negation_baseline(s, op, op, constraints="value"), "value"),
+        (lambda s, op: fit_negation_improved(s, op, op), "value"),
+    ], ids=["baseline-both", "baseline-value", "improved"])
+    def test_fit_raises_one_value_error_and_no_warning(self, fit, name):
+        layout = SegmentLayout(1, 1, 1)
+        samples = SampleSet(tuple(
+            replace(entry, v=SemanticVector(1e200 * entry.v.values, layout))
+            for entry in spanning_samples(layout, count=6).entries
+        ))
+        op = NegationOperator(0.5, layout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                fit(samples, op)
+        assert str(info.value) == f"the {name!r} fit overflows: sample values too large"
 
 
 EQUIVALENCE_LAYOUTS = (SegmentLayout(2, 1, 1), SegmentLayout(4, 2, 2), SegmentLayout(6, 3, 3))

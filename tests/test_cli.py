@@ -6,12 +6,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tripsem.cli import run
-from tripsem.lexicon import load
+from tripsem.core import SegmentLayout, SemanticVector
+from tripsem.lexicon import Lexicon, init_random, load, save
 
 DEMO_ARGS = lambda path: ["--lexicon", str(path)]  # noqa: E731
 
@@ -437,6 +439,18 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("tripsem: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("check, fit", [("contradiction", "both"), ("improved-fit", "value")])
+    def test_overflowing_fit_exits_two_naming_the_fit(self, tmp_path, capsys, check, fit):
+        base = init_random([f"w{i}" for i in range(6)], SegmentLayout(1, 1, 1), 0, 0.1)
+        huge = {e.token: replace(e, v=SemanticVector(1e200 * e.v.values, base.layout))
+                for e in base}
+        lex = tmp_path / "huge.lex"
+        save(Lexicon(base.layout, huge), lex)
+        assert run(["verify", check, "--lexicon", str(lex)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tripsem: the {fit!r} fit overflows: sample values too large\n"
 
     def test_failing_check_exits_one(self, tmp_path, capsys):
         # five words cannot pin down 72 unknowns: the value-only fit finds a

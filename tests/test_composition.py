@@ -372,7 +372,7 @@ class TestComposeTreeIsTheFold:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), lexicons(), st.sampled_from([DEFAULT, IMPROVED]))
     def test_same_root_or_same_error(self, data, lexicon, cfg):
-        tokens = list(lexicon.tokens) + data.draw(st.sampled_from([[], ["ghost"]]))
+        tokens = list(lexicon.entries) + data.draw(st.sampled_from([[], ["ghost"]]))
         tree = data.draw(trees(tokens, data.draw(st.booleans())))
         got = outcome(compose_tree, tree, lexicon, cfg)
         want = outcome(fold, tree, lexicon, cfg)

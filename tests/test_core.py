@@ -33,7 +33,6 @@ class TestSegmentLayout:
     def test_slices_partition_the_vector(self):
         lay = SegmentLayout(3, 2, 1)
         assert lay.n == 6
-        assert lay.d_value == 3
         assert (lay.domain_slice, lay.stable_slice, lay.inverted_slice) == (
             slice(0, 3),
             slice(3, 5),

@@ -40,7 +40,7 @@ class TestLexiconType:
         assert "blue" in lex and "nope" not in lex
         assert lex["blue"].token == "blue"
         assert len(lex) == 2
-        assert lex.tokens == ("blue", "red")
+        assert tuple(lex.entries) == ("blue", "red")
         with pytest.raises(UnknownTokenError):
             lex["nope"]
 
@@ -86,7 +86,7 @@ class TestInitRandom:
         a = init_random(["x", "y", "z"], LAY211, seed=5, noise=0.2)
         b = init_random(["x", "y", "z"], LAY211, seed=5, noise=0.2)
         assert a == b
-        for token in a.tokens:
+        for token in a.entries:
             assert np.array_equal(a[token].v.values, b[token].v.values)
             assert np.array_equal(a[token].M.entries, b[token].M.entries)
 
@@ -182,7 +182,7 @@ class TestSerialization:
         lex = set_function_word(lex, "not", "negation", mu=0.5)
         back = loads(dumps(lex))
         assert back == lex
-        for token in lex.tokens:
+        for token in lex.entries:
             assert np.array_equal(back[token].v.values, lex[token].v.values)
             assert np.array_equal(back[token].M.entries, lex[token].M.entries)
             assert back[token].alpha == lex[token].alpha

@@ -26,7 +26,7 @@ class TestParse:
         assert [c.tag for c in np.children] == ["Det", "N"]
         # the VP is ternary before binarization
         assert [c.tag for c in vp.children] == ["VBZ", "RB", "ADJP"]
-        assert [leaf.token for leaf in tree.leaves()] == ["this", "car", "is", "not", "blue"]
+        assert tree.fringe() == ("this", "car", "is", "not", "blue")
 
     def test_whitespace_is_insignificant(self):
         spaced = "( S\n  (NP (Det this)\t(N car))\n  (VP (VBZ is) (RB not) (ADJP (JJ blue))) )"
@@ -118,7 +118,7 @@ class TestBinarize:
         vp = binarize(parse_bracketed("(VP (VBZ is) (RB not) (ADJP (JJ blue)))"))
         aux = vp.children[1]
         assert aux.tag == "VP*"
-        assert [leaf.token for leaf in aux.leaves()] == ["not", "blue"]
+        assert aux.fringe() == ("not", "blue")
 
     def test_left_fold(self):
         tree = parse_bracketed("(X (A a) (B b) (C c))")
