@@ -54,7 +54,7 @@ from .errors import (
     UnknownTokenError,
 )
 from .lexicon import Lexicon, init_random, set_function_word
-from .numerics import cosine, least_squares
+from .numerics import cosine
 from .treeio import ParseTree, binarize, format_tree, parse_bracketed, parse_forest
 
 __version__ = "0.1.0"
@@ -93,7 +93,6 @@ __all__ = [
     "format_tree",
     "binarize",
     "cosine",
-    "least_squares",
     "TripsemError",
     "DimensionError",
     "DegenerateNegationError",

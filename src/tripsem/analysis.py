@@ -30,17 +30,15 @@ underlying derivation:
   with the fitted matrix substituted. Their right-hand side is zero, so
   that step is closed-form: alpha_not = 0 with residual 0.
 
-Unknowns are ordered [vec(M_not) row-major, then v_not]. The systems are
-solved through their normal equations, which have structure: the
-M_not block is I kron H with H = sum w w^T + 5S I (S samples, function
-rows present) and v_not couples to it through n columns only. One n x n
-eigendecomposition of H and one of the n x n Schur complement of the
-v_not block give the solution. When either is singular or has an
-eigenvalue ratio above COND_LIMIT - a value system with fewer than
-n - d_inverted + 1 samples - the explicit design is solved by SVD
-instead, which yields the minimum-norm solution. The function-only
+Unknowns are ordered [vec(M_not) row-major, then v_not]. Neither the
+explicit design nor the normal equations are formed: every row of M_not
+meets the rows through the same small matrix [w; sqrt(c) I] of the
+samples' value inputs w, so one SVD of it eliminates M_not and leaves an
+n-column least-squares problem for v_not. Both are rank-cut at RANK_TOL.
+A value system with fewer than n - d_inverted + 1 samples has many
+minimisers, and the fit returns the minimum-norm one. The function-only
 system, where v_not appears in no row, has the minimum-norm solution
-zero in closed form. ``FitResult.solver`` says which ran.
+zero in closed form. ``FitResult.solver`` says which case holds.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from .core import (
 )
 from .errors import DimensionError
 from .lexicon import Lexicon, init_random
-from .numerics import cosine, least_squares
+from .numerics import cosine
 from .treeio import ParseTree, binarize
 
 __all__ = [
@@ -90,12 +88,9 @@ DEMO_SEED = 0
 DEMO_NOISE = 0.1
 DEMO_COUNT = 50
 
-# The structured solve hands the system to the SVD when an eigenvalue
-# ratio exceeds this: the largest of H to its smallest, or the largest of
-# A_vv (the v_not block) to the smallest of its Schur complement. The
-# bound lies far inside the SVD's RANK_TOL cut, so every system the SVD
-# would treat as rank-deficient takes the SVD path.
-COND_LIMIT = 1e8
+# A singular value at or below RANK_TOL times its system's scale counts as
+# zero: W's own largest singular value for W, |M_a| for the v_not system.
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,10 @@ class FitResult:
     ``residual_total`` is their quadrature sum. ``alpha_not_hat`` is None
     for baseline fits, which have no propagation-weight unknown; the
     improved fit's closed-form alpha step gives 0.0, with residual 0.0.
-    ``solver`` names the path that solved for (M_not, v_not):
-    "structured", "svd", or "closed-form" for the function-only fit.
+    ``solver`` says how (M_not, v_not) was found: "structured" when the
+    minimiser is unique, "min-norm" when a rank cut left a null space and
+    the minimum-norm minimiser is returned, "closed-form" for the
+    function-only fit.
     """
 
     M_not_hat: FunctionMatrix
@@ -229,85 +226,77 @@ def _value_triples(
     return w, np.repeat(m, 2, axis=0), t
 
 
-def _spd_inverse(a: np.ndarray, scale: float | None = None) -> np.ndarray | None:
-    """Inverse of a symmetric matrix through its eigendecomposition.
+def _rank_svd(
+    a: np.ndarray, scale: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD u, s, vt of ``a`` cut to the singular values above
+    RANK_TOL * ``scale`` (by default the largest), and the null space of
+    ``a`` as orthonormal columns.
 
-    None unless the smallest eigenvalue exceeds ``scale`` / COND_LIMIT,
-    where ``scale`` defaults to the largest eigenvalue of ``a``.
+    A system that is not finite raises LinAlgError, so an overflow never
+    passes for a rank-0 cut.
     """
-    lam, q = np.linalg.eigh(a)
-    top = lam[-1] if scale is None else scale
-    if not lam[0] > top / COND_LIMIT:
-        return None
-    return (q / lam) @ q.T
+    u, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    limit = RANK_TOL * (s[0] if scale is None else scale)
+    if not (math.isfinite(limit) and np.all(np.isfinite(s))):
+        raise np.linalg.LinAlgError("the system is not finite")
+    rank = int(np.count_nonzero(s > limit))
+    return u[:, :rank], s[:rank], vt[:rank], vt[rank:].T
 
 
-def _solve_structured(
-    w: np.ndarray, ma: np.ndarray, t: np.ndarray, c: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Minimise sum_r |M w_r + M_a,r v - t_r|^2 + c |M|_F^2 over (M, v).
+def _lstsq(ab: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solution of a x = b, for ab = [a | b],
+    and the null space of ``a``, under the RANK_TOL * ``scale`` cut.
 
-    The normal equations are M H + B v = R_M and B^T vec(M) + A_vv v = r_v,
-    with H = sum w w^T + c I, the n^2 x n coupling B[i, j, k] =
-    sum w_j M_a[i, k], A_vv = sum M_a^T M_a, R_M = sum t w^T and
-    r_v = sum M_a^T t. Eliminating M = (R_M - B v) H^-1 leaves the n x n
-    Schur complement A_vv - B^T (I kron H^-1) B for v. Returns None when H
-    is too ill-conditioned for this route, or when elimination leaves too
-    little of A_vv: the Schur complement's eigenvalues are then measured
-    against A_vv's largest, since they can all be rounding noise at once.
+    A QR step first reduces the rows to a triangle of the columns' size,
+    so only that triangle is decomposed.
     """
-    n = w.shape[1]
-    h_inv = _spd_inverse(w.T @ w + c * np.eye(n))
-    if h_inv is None:
-        return None
-    b = np.einsum("rj,rik->ijk", w, ma)
-    b_h = np.einsum("ijk,jl->ilk", b, h_inv)
-    a_vv = np.einsum("rik,ril->kl", ma, ma)
-    schur = a_vv - np.einsum("ijk,ijl->kl", b_h, b)
-    s_inv = _spd_inverse(schur, np.linalg.eigvalsh(a_vv)[-1])
-    if s_inv is None:
-        return None
-
-    def solve(g_m, g_v):
-        g_m_h = g_m @ h_inv
-        v = s_inv @ (g_v - np.einsum("ijk,ij->k", b, g_m_h))
-        return g_m_h - (b @ v) @ h_inv, v
-
-    m, v = solve(t.T @ w, np.einsum("rik,ri->k", ma, t))
-    # Forming the normal equations squares the design's condition number.
-    # Refining against the residual of the rows themselves (corrected
-    # semi-normal equations) brings the error back to the SVD's level:
-    # two steps do so at the uniqueness threshold, where the design's
-    # condition number reaches 1e4.
-    for _ in range(2):
-        r = t - w @ m.T - ma @ v
-        dm, dv = solve(r.T @ w - c * m, np.einsum("rik,ri->k", ma, r))
-        m, v = m + dm, v + dv
-    return m, v
+    r = np.linalg.qr(ab, mode="r")
+    u, s, vt, null = _rank_svd(r[:, :-1], scale)
+    return vt.T @ (u.T @ r[:, -1] / s), null
 
 
-def _solve_svd(
+def _solve(
     w: np.ndarray, ma: np.ndarray, t: np.ndarray, c: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The same minimisation through the SVD of the explicit design.
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The minimum-norm minimiser (M, v) of
+    sum_r |M w_r + M_a,r v - t_r|^2 + c |M|_F^2, and whether it is unique.
 
-    Triple r gives the rows [kron(I, w_r^T), M_a,r]. With c > 0 the
-    function rows are the single block sqrt(c) I on vec(M): it has the
-    same minimiser and function residual as the 2S blocks I and 2I it
-    stands for. Rank-deficient systems yield the minimum-norm solution.
+    Row i of M meets every row through the same matrix W = [w; sqrt(c) I]:
+    its rows are W m_i = [t[:, i] - M_a[:, i, :] v; 0]. With W = U S V^T
+    cut to its rank, the best m_i for a given v is V S^-1 U^T of that
+    right-hand side, zero along null(W). What it leaves is the part of
+    the right-hand side outside the range of U: stacked over i, a
+    least-squares problem in v alone. Its cut is measured against |M_a|,
+    never against its own largest singular value, which can be rounding
+    noise. Where it is rank-deficient, a step along its null space picks
+    the v that minimises |M|_F^2 + |v|^2 jointly.
     """
     k, n = w.shape
-    n_function = n * n if c else 0
-    design = np.zeros((k * n + n_function, n * n + n))
-    value = design[: k * n].reshape(k, n, n * n + n)
+    u, s, vt, w_null = _rank_svd(np.vstack([w, math.sqrt(c) * np.eye(n)]) if c else w)
+    # U^T [M_a[:, i, :] | t[:, i]] for every i, as [q, i, :]; what U leaves
+    # of each is reduced by QR to a triangle of the v_not system
+    xy = np.tensordot(u[:k], np.concatenate([ma, t[:, :, None]], axis=2), axes=(0, 0))
+    triangles = []
     for i in range(n):
-        value[:, i, i * n : (i + 1) * n] = w
-    value[:, :, n * n :] = ma
-    diag = np.arange(n_function)
-    design[k * n + diag, diag] = math.sqrt(c)
-    targets = np.concatenate([t.reshape(-1), np.zeros(n_function)])
-    x, _ = least_squares(design, targets)
-    return x[: n * n].reshape(n, n), x[n * n :]
+        left = -u @ xy[:, i]
+        left[:k, :n] += ma[:, i]
+        left[:k, n] += t[:, i]
+        triangles.append(np.linalg.qr(left, mode="r"))
+    # |M_a| by einsum: np.linalg.norm calls BLAS dot, which OpenBLAS
+    # spreads over threads from 10^4 entries, a delay on a busy machine
+    v, v_null = _lstsq(np.vstack(triangles), math.sqrt(np.einsum("rij,rij->", ma, ma)))
+    x, y = xy[:, :, :n], xy[:, :, n]
+    if v_null.shape[1]:
+        # |M|_F = |(y - x v) / s| = |e - d z| at v + v_null z, and v is
+        # orthogonal to v_null: minimise |e - d z|^2 + |z|^2
+        k_null = v_null.shape[1]
+        d = (x @ v_null / s[:, None, None]).reshape(-1, k_null)
+        e = ((y - x @ v) / s[:, None]).reshape(-1, 1)
+        z, _ = _lstsq(np.vstack([np.hstack([d, e]), np.eye(k_null, k_null + 1)]), 1.0)
+        v = v + v_null @ z
+    m = ((y - x @ v) / s[:, None]).T @ vt
+    return m, v, not (w_null.shape[1] or v_null.shape[1])
 
 
 def _fit(
@@ -316,8 +305,9 @@ def _fit(
     """The baseline fit of (M_not, v_not) under ``constraints``.
 
     The function rows M_not = 0 and 2 M_not = 0 of S samples weigh
-    c = 5S on |M_not|_F^2. The structured solve runs when it measures
-    the system well-conditioned, the SVD otherwise.
+    c = 5S on |M_not|_F^2. One orthogonal structured solve gives the
+    minimum-norm minimiser, which is unique unless ``solver`` is
+    "min-norm".
     """
     layout = samples.layout
     if constraints == "function":
@@ -329,16 +319,11 @@ def _fit(
         )
     w, ma, t = _value_triples(samples, op, op2)
     c = 0.0 if constraints == "value" else 5.0 * len(samples)
-    # Huge sample values overflow the normal equations or the residuals:
-    # that is reported only through the ValueError below.
+    # Huge sample values overflow the solve or the residuals: that is
+    # reported only through the ValueError below.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            solver = "structured"
-            solution = _solve_structured(w, ma, t, c)
-            if solution is None:
-                solver = "svd"
-                solution = _solve_svd(w, ma, t, c)
-            m, v = solution
+            m, v, unique = _solve(w, ma, t, c)
             res_value = float(np.linalg.norm(w @ m.T + ma @ v - t))
             res_function = math.sqrt(c) * float(np.linalg.norm(m))
         except np.linalg.LinAlgError:
@@ -347,7 +332,8 @@ def _fit(
         raise ValueError(f"the {constraints!r} fit overflows: sample values too large")
     return FitResult(
         FunctionMatrix(m, layout), SemanticVector(v, layout), None,
-        res_value, res_function, math.hypot(res_value, res_function), solver,
+        res_value, res_function, math.hypot(res_value, res_function),
+        "structured" if unique else "min-norm",
     )
 
 

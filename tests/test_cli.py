@@ -466,7 +466,7 @@ class TestVerify:
         assert code == 1
         report = lines_of(capsys)
         assert report[-1] == "verify result: FAIL"
-        assert "verify value_only.solver: svd" in report
+        assert "verify value_only.solver: min-norm" in report
         assert "verify joint.solver: structured" in report
 
 

@@ -101,14 +101,14 @@ def build_system(samples):
     return np.array(rows), np.array(rhs)
 
 
-def main():
+def fixture():
+    """The fixture dict that ``main`` writes to OUT."""
     samples = generate_samples()
     design, rhs = build_system(samples)
     gram = design.T @ design
     x = np.linalg.solve(gram, design.T @ rhs)
     residual = float(np.linalg.norm(design @ x - rhs))
-    bound = residual * (1.0 - MARGIN)
-    fixture = {
+    return {
         "description": (
             "Lower bound on the joint value+function baseline negation fit "
             "residual over the default demonstration sample set; computed by "
@@ -125,17 +125,21 @@ def main():
             "margin": MARGIN,
         },
         "residual_normal_equations": residual,
-        "lower_bound": bound,
+        "lower_bound": residual * (1.0 - MARGIN),
         "sample_sha256": sample_digest(samples),
         "environment": {
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
     }
+
+
+def main():
+    data = fixture()
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(fixture, indent=2) + "\n", encoding="utf-8")
-    print(f"residual (normal equations): {residual!r}")
-    print(f"lower bound written to {OUT}: {bound!r}")
+    OUT.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    print(f"residual (normal equations): {data['residual_normal_equations']!r}")
+    print(f"lower bound written to {OUT}: {data['lower_bound']!r}")
 
 
 if __name__ == "__main__":
