@@ -13,7 +13,9 @@ representation (up to 17 significant digits), so ``load(save(lex))``
 reproduces every value bit-for-bit. ``save`` additionally records the
 lexicon's default negation scale as a ``# mu_default <value>`` pragma
 comment; ``load`` honours it when present and otherwise defaults to 0.5,
-so hand-written files need not carry it.
+so hand-written files need not carry it. A malformed lexicon is reported
+at its first faulty line in file order; the one exception is a bad
+``# mu_default`` pragma, which is reported first wherever it stands.
 
 Random initialization is reproducible across runs and platforms: it draws
 from numpy's PCG64 generator (``numpy.random.default_rng(seed)``), taking
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -189,6 +192,20 @@ def _parse_floats(parts: list[str], count: int, lineno: int, what: str) -> np.nd
     return out
 
 
+def _block_values(block: list[tuple[int, list[str]]], n: int) -> np.ndarray | None:
+    """The n + n*n numbers of a well-formed ``v`` and ``m`` block as one
+    flat array, or None if any of its lines is faulty."""
+    if [parts[0] for _, parts in block] != ["v"] + ["m"] * n:
+        return None
+    if any(len(parts) != n + 1 for _, parts in block):
+        return None
+    try:
+        flat = np.array(list(map(float, chain.from_iterable(p[1:] for _, p in block))))
+    except ValueError:
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
 def loads(text: str) -> Lexicon:
     mu_default = 0.5
     rows: list[tuple[int, list[str]]] = []
@@ -240,22 +257,29 @@ def loads(text: str) -> Lexicon:
         if token in entries:
             raise LexiconFormatError(f"duplicate word {token!r}", lineno)
         alpha = float(_parse_floats([parts[2]], 1, lineno, f"alpha of {token!r}")[0])
-        lineno, parts = take(f"v line of {token!r}")
-        if parts[0] != "v":
-            raise LexiconFormatError(f"expected 'v ...' for {token!r}", lineno)
-        v = _parse_floats(parts[1:], n, lineno, f"vector of {token!r}")
-        m = np.empty((n, n))
-        for r in range(n):
-            lineno, parts = take(f"matrix row {r + 1} of {token!r}")
-            if parts[0] != "m":
-                raise LexiconFormatError(f"expected 'm ...' for {token!r}", lineno)
-            m[r] = _parse_floats(parts[1:], n, lineno, f"matrix row {r + 1} of {token!r}")
-        try:
-            entries[token] = LexicalEntry(
-                token, SemanticVector(v, layout), FunctionMatrix(m, layout), alpha
+        if alpha < 0.0:
+            raise LexiconFormatError(
+                f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}",
+                lineno,
             )
-        except ValueError as exc:
-            raise LexiconFormatError(f"invalid entry {token!r}: {exc}", lineno) from None
+        flat = _block_values(rows[cursor : cursor + n + 1], n)
+        if flat is not None:
+            cursor += n + 1
+            v, m = flat[:n], flat[n:].reshape(n, n)
+        else:  # re-read the block line by line to raise its first fault
+            lineno, parts = take(f"v line of {token!r}")
+            if parts[0] != "v":
+                raise LexiconFormatError(f"expected 'v ...' for {token!r}", lineno)
+            v = _parse_floats(parts[1:], n, lineno, f"vector of {token!r}")
+            m = np.empty((n, n))
+            for r in range(n):
+                lineno, parts = take(f"matrix row {r + 1} of {token!r}")
+                if parts[0] != "m":
+                    raise LexiconFormatError(f"expected 'm ...' for {token!r}", lineno)
+                m[r] = _parse_floats(parts[1:], n, lineno, f"matrix row {r + 1} of {token!r}")
+        entries[token] = LexicalEntry(
+            token, SemanticVector(v, layout), FunctionMatrix(m, layout), alpha
+        )
     return Lexicon(layout, entries, mu_default)
 
 

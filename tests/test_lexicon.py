@@ -33,6 +33,24 @@ from tripsem.lexicon import (
 
 LAY211 = SegmentLayout(2, 1, 1)
 
+# Two valid 2,1,1 entries; word b is lines 9 to 14.
+TWO_WORDS = (
+    "TRIPSEM 1",
+    "layout 2 1 1",
+    "word a 1.0",
+    "v 1.0 2.0 3.0 4.0",
+    "m 1 0 0 0",
+    "m 0 1 0 0",
+    "m 0 0 1 0",
+    "m 0 0 0 1",
+    "word b 0.5",
+    "v 0.5 -0.25 1 2",
+    "m 2 0 0 0",
+    "m 0 2 0 0",
+    "m 0 0 2 0",
+    "m 0 0 0 2",
+)
+
 
 class TestLexiconType:
     def test_lookup_and_membership(self):
@@ -197,6 +215,38 @@ class TestSerialization:
         lex = init_random(["a"], LAY211, seed=0, noise=0.1, mu_default=0.75)
         assert loads(dumps(lex)).mu_default == 0.75
 
+    def test_bulk_read_is_bit_exact_at_n32(self):
+        def bits(x):
+            return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+        layout = SegmentLayout(16, 8, 8)
+        lex = init_random(["a", "b", "c"], layout, seed=12, noise=0.3)
+        special = [
+            -0.0,
+            5e-324,
+            1.7976931348623157e308,
+            0.30000000000000004,
+            -1.0000000000000002,
+            0.12345678901234568,
+            -2.2250738585072014e-308,
+            0.0,
+        ]
+        v = np.array(special * 4)
+        m = np.reshape(special * 128, (32, 32)).T
+        lex = lex.with_entry(
+            LexicalEntry("d", SemanticVector(v, layout), FunctionMatrix(m, layout), 5e-324)
+        )
+        text = dumps(lex)
+        for spelling in ("-0.0", "5e-324", "1.7976931348623157e+308", "0.12345678901234568"):
+            assert f" {spelling} " in text
+        for decorated in (text, text.replace("\nm ", "\n# row\n\nm ")):
+            back = loads(decorated)
+            assert back == lex
+            for token, entry in lex.entries.items():
+                assert np.array_equal(bits(back[token].v.values), bits(entry.v.values))
+                assert np.array_equal(bits(back[token].M.entries), bits(entry.M.entries))
+                assert bits(back[token].alpha) == bits(entry.alpha)
+
     def test_comments_and_blank_lines_ignored(self):
         lex = init_random(["a"], LAY211, seed=0, noise=0.1)
         text = dumps(lex)
@@ -239,6 +289,66 @@ class TestSerialization:
 
 
 class TestLoadErrors:
+    @pytest.mark.parametrize(
+        "edits, keep, message, line",
+        [
+            ({10: "w 0.5 -0.25 1 2"}, 14, "expected 'v ...' for 'b'", 10),
+            ({10: "v 0.5 -0.25 1"}, 14, "vector of 'b': expected 4 values, got 3", 10),
+            ({10: "v 0.5 x 1 2"}, 14, "vector of 'b': bad number 'x'", 10),
+            ({10: "v 0.5 -0.25 inf 2"}, 14, "vector of 'b': non-finite value", 10),
+            ({11: "v 2 0 0 0"}, 14, "expected 'm ...' for 'b'", 11),
+            ({13: "m 0 0 2"}, 14, "matrix row 3 of 'b': expected 4 values, got 3", 13),
+            ({13: "m 0 0 2,0 0"}, 14, "matrix row 3 of 'b': bad number '2,0'", 13),
+            ({14: "m 0 0 0 1e400"}, 14, "matrix row 4 of 'b': non-finite value", 14),
+            ({}, 12, "unexpected end of file, expected matrix row 3 of 'b'", 12),
+            (
+                {11: "m 2 0 0 0\n# note\n", 12: "m 0 2 0"},
+                14,
+                "matrix row 2 of 'b': expected 4 values, got 3",
+                14,
+            ),
+            (
+                {10: "v 0.5 -0.25 1", 11: "n 2 0 0 0"},
+                14,
+                "vector of 'b': expected 4 values, got 3",
+                10,
+            ),
+            (
+                {9: "word b -1.0"},
+                14,
+                "invalid entry 'b': alpha must be finite and >= 0, got -1.0",
+                9,
+            ),
+            (
+                {9: "word b -1.0", 13: "m 0 0 2"},
+                14,
+                "invalid entry 'b': alpha must be finite and >= 0, got -1.0",
+                9,
+            ),
+        ],
+        ids=[
+            "v-keyword",
+            "v-short",
+            "v-bad-number",
+            "v-inf",
+            "m1-keyword",
+            "m3-short",
+            "m3-bad-number",
+            "m4-overflow",
+            "eof-after-m2",
+            "comment-and-blank-counted",
+            "v-fault-before-m1-keyword",
+            "negative-alpha",
+            "negative-alpha-before-m3-short",
+        ],
+    )
+    def test_first_fault_of_a_block_names_its_line(self, edits, keep, message, line):
+        lines = [edits.get(k, text) for k, text in enumerate(TWO_WORDS[:keep], start=1)]
+        with pytest.raises(LexiconFormatError) as err:
+            loads("\n".join(lines) + "\n")
+        assert str(err.value) == f"{message} (line {line})"
+        assert err.value.line == line
+
     def test_bad_header_names_line_one(self):
         with pytest.raises(LexiconFormatError) as err:
             loads("NOTMAGIC 1\nlayout 2 1 1\n")
