@@ -25,26 +25,19 @@ underlying derivation:
   so the outer step contributes rows M_not (J_mu v_a) + M_a v_not =
   J_nu J_mu v_a. The function of the inner term is exactly computable
   without such a substitution, giving rows 2 M_not = 0.
-* The improved fit solves the value block first, then the alpha_not rows
-  (alpha_not * M_not_hat = 0 and alpha_not * M_a = 0, the Z-cleared forms)
-  with the fitted matrix substituted. Their right-hand side is zero, so
-  that step is closed-form: alpha_not = 0 with residual 0.
+* The improved fit solves the value block first, then its alpha_not rows
+  with the fitted matrix substituted (see ``fit_negation_improved``).
 
-Unknowns are ordered [vec(M_not) row-major, then v_not]. Neither the
-explicit design nor the normal equations are formed: every row of M_not
-meets the rows through the same small matrix [w; sqrt(c) I] of the
-samples' value inputs w, so one SVD of it eliminates M_not and leaves an
-n-column least-squares problem for v_not. Both are rank-cut at RANK_TOL.
-A value system with fewer than n - d_inverted + 1 samples has many
-minimisers, and the fit returns the minimum-norm one. The function-only
-system, where v_not appears in no row, has the minimum-norm solution
-zero in closed form. ``FitResult.solver`` says which case holds.
+Unknowns are ordered [vec(M_not) row-major, then v_not]. ``_solve`` finds
+the minimum-norm minimiser without forming the explicit design or the
+normal equations; ``FitResult.solver`` says whether it is unique.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -56,11 +49,11 @@ from .core import (
     SegmentLayout,
     SemanticVector,
     make_negation_matrix,
-    negate_vector,
+    negated,
 )
 from .errors import DimensionError
 from .lexicon import Lexicon, init_random
-from .numerics import cosine
+from .numerics import cosine, scaled_norm
 from .treeio import ParseTree, binarize
 
 __all__ = [
@@ -117,15 +110,21 @@ class FitResult:
     solver: str
 
 
-def _sample_fault(entry: LexicalEntry) -> str:
-    """What breaks the sample assumptions for ``entry``, or "" if nothing."""
-    if not np.any(entry.v.values):
-        return "a zero vector"
-    if not np.any(entry.M.entries):
-        return "a zero function matrix"
-    if np.array_equal(entry.M.entries, np.eye(entry.layout.n)):
-        return "the identity as function matrix"
-    return ""
+SAMPLE_FAULTS = ("", "a zero vector", "a zero function matrix", "the identity as function matrix")
+
+
+def _stacked(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors (W, n) and matrices (W, n, n) of same-layout ``entries``."""
+    return np.array([e.v.values for e in entries]), np.array([e.M.entries for e in entries])
+
+
+def _sample_faults(entries) -> np.ndarray:
+    """Per entry, the index into SAMPLE_FAULTS of what breaks its sample
+    assumptions (0: nothing), found in one pass over the stacked arrays."""
+    v, m = _stacked(entries)
+    n = v.shape[1]
+    zero_m, identity = ~m.reshape(-1, n * n).any(axis=1), (m == np.eye(n)).all(axis=(1, 2))
+    return np.select([~v.any(axis=1), zero_m, identity], [1, 2, 3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,15 +143,15 @@ class SampleSet:
         if not entries:
             raise ValueError("sample set must be nonempty")
         layout = entries[0].layout
-        for entry in entries:
-            if entry.layout != layout:
-                raise DimensionError(
-                    f"sample {entry.token!r} has layout {entry.layout}, "
-                    f"expected {layout}"
-                )
-            fault = _sample_fault(entry)
-            if fault:
-                raise ValueError(f"sample {entry.token!r} has {fault}")
+        # the first fault in order: a layout mismatch, or a fault before it
+        same = next((i for i, e in enumerate(entries) if e.layout != layout), len(entries))
+        faults = _sample_faults(entries[:same])
+        if faults.any():
+            first = int(np.argmax(faults != 0))
+            raise ValueError(f"sample {entries[first].token!r} has {SAMPLE_FAULTS[faults[first]]}")
+        if same < len(entries):
+            b = entries[same]
+            raise DimensionError(f"sample {b.token!r} has layout {b.layout}, expected {layout}")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -169,10 +168,11 @@ class SampleSet:
         Entries violating the sample assumptions (zero vector, zero or
         identity matrix - e.g. function-word presets) are skipped.
         """
-        picked = [e for e in lex if not _sample_fault(e)]
+        entries = tuple(lex)
+        picked = tuple(compress(entries, _sample_faults(entries) == 0)) if entries else ()
         if not picked:
             raise ValueError("lexicon has no entries satisfying the sample assumptions")
-        return cls(tuple(picked))
+        return cls(picked)
 
 
 def default_demo_samples(
@@ -216,8 +216,7 @@ def _value_triples(
     t = J_nu J_mu v_a), so triple r holds the r-th n-row block of the
     value design. Shapes are (2S, n), (2S, n, n) and (2S, n).
     """
-    v = np.stack([entry.v.values for entry in samples.entries])
-    m = np.stack([entry.M.entries for entry in samples.entries])
+    v, m = _stacked(samples.entries)
     once = v @ make_negation_matrix(op).entries.T
     twice = once @ make_negation_matrix(op2).entries.T
     n = v.shape[1]
@@ -319,13 +318,13 @@ def _fit(
         )
     w, ma, t = _value_triples(samples, op, op2)
     c = 0.0 if constraints == "value" else 5.0 * len(samples)
-    # Huge sample values overflow the solve or the residuals: that is
-    # reported only through the ValueError below.
+    # Huge sample values overflow the solve, or residuals that are taken
+    # scaled: that is reported only through the ValueError below.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             m, v, unique = _solve(w, ma, t, c)
-            res_value = float(np.linalg.norm(w @ m.T + ma @ v - t))
-            res_function = math.sqrt(c) * float(np.linalg.norm(m))
+            res_value = scaled_norm(w @ m.T + ma @ v - t)
+            res_function = math.sqrt(c) * scaled_norm(m)
         except np.linalg.LinAlgError:
             res_value = res_function = math.nan
     if not math.isfinite(res_value + res_function):
@@ -405,6 +404,27 @@ class DoubleNegationReport:
     underflowed: int
 
 
+def _double_negation_rows(
+    values: np.ndarray, layout: SegmentLayout, op: NegationOperator, op2: NegationOperator
+) -> tuple[np.ndarray, ...]:
+    """``check_double_negation`` over stacked vectors ``values`` (W, n): the
+    once- and twice-negated vectors and, per row, the report's four flags."""
+    once = negated(values, layout, op)
+    twice = negated(once, layout, op2)
+    keep, inverted = slice(0, layout.d_domain + layout.d_stable), layout.inverted_slice
+    domain_unchanged = (values[:, keep] == once[:, keep]) & (values[:, keep] == twice[:, keep])
+    x, y = values[:, inverted], twice[:, inverted]
+    before, after = np.abs(x), np.abs(y)
+    nonzero = x != 0.0
+    small = nonzero & (op.mu * op2.mu * before < np.finfo(float).tiny)
+    signs_restored = (np.sign(y) == np.sign(x)) | (small & (y == 0.0))
+    shrunk = np.where(small, after <= before, after < before)
+    return (
+        once, twice, domain_unchanged.all(axis=1), signs_restored.all(axis=1),
+        (shrunk | ~nonzero).all(axis=1), np.count_nonzero(small, axis=1),
+    )
+
+
 def check_double_negation(
     entry: LexicalEntry, op: NegationOperator, op2: NegationOperator
 ) -> DoubleNegationReport:
@@ -423,30 +443,11 @@ def check_double_negation(
     the check requires |y| <= |x| in place of the strict shrink and
     accepts zero in place of the original sign.
     """
-    original = entry.v
-    once = negate_vector(original, op)
-    twice = negate_vector(once, op2)
-    layout = original.layout
-    keep = slice(0, layout.d_domain + layout.d_stable)
-    domain_unchanged = np.array_equal(
-        original.values[keep], once.values[keep]
-    ) and np.array_equal(original.values[keep], twice.values[keep])
-    orig_inv = original.values[layout.inverted_slice]
-    twice_inv = twice.values[layout.inverted_slice]
-    nonzero = orig_inv != 0.0
-    small = nonzero & (op.mu * op2.mu * np.abs(orig_inv) < np.finfo(float).tiny)
-    same_sign = np.sign(twice_inv) == np.sign(orig_inv)
-    signs_restored = bool(np.all(same_sign | (small & (twice_inv == 0.0))))
-    before, after = np.abs(orig_inv), np.abs(twice_inv)
-    shrunk = np.where(small, after <= before, after < before)
-    diminutive = bool(np.all(shrunk[nonzero]))
+    layout = entry.layout
+    once, twice, *flags, underflowed = _double_negation_rows(entry.v.values[None], layout, op, op2)
     return DoubleNegationReport(
-        once=once,
-        twice=twice,
-        domain_unchanged=bool(domain_unchanged),
-        signs_restored=signs_restored,
-        diminutive=diminutive,
-        underflowed=int(np.count_nonzero(small)),
+        SemanticVector(once[0], layout), SemanticVector(twice[0], layout),
+        *(bool(flag[0]) for flag in flags), int(underflowed[0]),
     )
 
 

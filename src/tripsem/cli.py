@@ -13,27 +13,14 @@ too large to allocate and any other floating-point overflow exit 2 the
 same way, never with a numpy warning. Trees of any depth are read and
 composed; the parser and composer loop over flat arrays.
 
-verify checks and their pass conditions:
-
-* ``contradiction``: joint baseline fit has residual_total above the
-  solver-noise threshold (the inconsistency is the point), while the
-  value-only fit recovers (J_mu, 0) and the function-only fit recovers
-  M_not = 0, each within 1e-9.
-* ``improved-fit``: alpha_not, the M_not error against J_mu, the v_not
-  norm, and residual_total are all within 1e-9.
-* ``double-negation``: domain_unchanged and signs_restored hold for every
-  lexicon word, and diminutive holds for every word with a nonzero
-  inverted segment (when mu_default < 1). An inverted entry x with
-  mu^2 |x| below the smallest normal double need only not grow, and may
-  round to zero; words_underflowed counts the words that have one.
-* ``scope --tree FILE``: with a seeded perturbation of the "not" matrix,
-  the improved-model root-M delta is <= 1e-12 and the baseline delta
-  equals the perturbation norm within 1e-12 relative.
+The pass condition of each verify check is the value its ``_verify_*``
+function returns; README's CLI section states all four in words.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,7 +28,7 @@ import numpy as np
 
 from .analysis import (
     SampleSet,
-    check_double_negation,
+    _double_negation_rows,
     domain_similarity,
     fit_negation_baseline,
     fit_negation_improved,
@@ -59,7 +46,7 @@ from .core import (
 )
 from .errors import TripsemError
 from .lexicon import Lexicon, init_random, load, save, set_function_word
-from .numerics import cosine
+from .numerics import cosine, scaled_norm
 from .treeio import binarize, parse_forest
 
 __all__ = ["run", "main"]
@@ -87,23 +74,16 @@ def _segments(key: str, vector) -> list:
 
 
 def _parse_layout(text: str) -> SegmentLayout:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"layout must be D,S,I (three integers), got {text!r}")
     try:
-        d, s, i = (int(p.strip()) for p in parts)
+        d, s, i = (int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"layout must be D,S,I (three integers), got {text!r}") from None
     return SegmentLayout(d, s, i)
 
 
 def _read_words(path: str) -> list[str]:
-    tokens = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens.append(line)
+    lines = (raw.strip() for raw in Path(path).read_text(encoding="utf-8").splitlines())
+    tokens = [line for line in lines if line and not line.startswith("#")]
     if not tokens:
         raise ValueError(f"no words found in {path}")
     return tokens
@@ -186,9 +166,9 @@ def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
     value_only = fit_negation_baseline(samples, op, op, constraints="value")
     function_only = fit_negation_baseline(samples, op, op, constraints="function")
 
-    value_m_error = float(np.linalg.norm(value_only.M_not_hat.entries - j_mu))
-    value_v_error = float(np.linalg.norm(value_only.v_not_hat.values))
-    function_m_error = float(np.linalg.norm(function_only.M_not_hat.entries))
+    value_m_error = scaled_norm(value_only.M_not_hat.entries - j_mu)
+    value_v_error = scaled_norm(value_only.v_not_hat.values)
+    function_m_error = scaled_norm(function_only.M_not_hat.entries)
 
     rows += [
         ("residual_value", joint.residual_value),
@@ -217,8 +197,8 @@ def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
 def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
     samples, op, j_mu, rows = _fit_inputs(lex)
     fit = fit_negation_improved(samples, op, op)
-    m_error = float(np.linalg.norm(fit.M_not_hat.entries - j_mu))
-    v_error = float(np.linalg.norm(fit.v_not_hat.values))
+    m_error = scaled_norm(fit.M_not_hat.entries - j_mu)
+    v_error = scaled_norm(fit.v_not_hat.values)
     rows += [
         ("alpha_not", fit.alpha_not_hat),
         ("m_error", m_error),
@@ -236,23 +216,23 @@ def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
 
 
 def _verify_double_negation(lex: Lexicon, args) -> tuple[list, bool]:
-    op = NegationOperator(lex.mu_default, lex.layout)
+    layout = lex.layout
+    op = NegationOperator(lex.mu_default, layout)
     expect_diminutive = lex.mu_default * lex.mu_default < 1.0
-    reports = [check_double_negation(entry, op, op) for entry in lex]
-    all_domain = all(r.domain_unchanged for r in reports)
-    all_signs = all(r.signs_restored for r in reports)
+    values = np.array([entry.v.values for entry in lex]).reshape(len(lex), layout.n)
+    _, _, domain, signs, diminutive, underflowed = _double_negation_rows(values, layout, op, op)
     # diminutive is vacuously true for a word with no inverted mass.
-    all_dim = all(r.diminutive for r in reports)
-    inverted = lex.layout.inverted_slice
+    all_domain, all_signs, all_dim = bool(domain.all()), bool(signs.all()), bool(diminutive.all())
+    inverted_mass = values[:, layout.inverted_slice].any(axis=1)
     return [
         ("mu", float(lex.mu_default)),
         ("nu", float(lex.mu_default)),
         ("words", len(lex)),
-        ("words_with_inverted_mass", sum(bool(np.any(e.v.values[inverted])) for e in lex)),
+        ("words_with_inverted_mass", int(np.count_nonzero(inverted_mass))),
         ("domain_unchanged", all_domain),
         ("signs_restored", all_signs),
         ("diminutive", all_dim),
-        ("words_underflowed", sum(bool(r.underflowed) for r in reports)),
+        ("words_underflowed", int(np.count_nonzero(underflowed))),
     ], all_domain and all_signs and (all_dim or not expect_diminutive)
 
 
@@ -304,6 +284,7 @@ def _cmd_verify(args) -> tuple[list, bool]:
 # parser
 
 
+@functools.cache  # one parser per process, built by the first run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tripsem",
@@ -350,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

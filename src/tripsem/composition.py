@@ -18,9 +18,6 @@ Both public functions run one step kernel, ``_step``, on plain arrays.
 ``compose_pair`` wraps its result in a ``LexicalEntry``; ``compose_tree``
 evaluates a whole binary tree in one pass over its flat post-order arrays,
 calling the kernel once per internal node, and wraps only the root.
-It checks the arity of the whole tree before it looks up any leaf: a
-node with other than two children raises ``TreeArityError`` naming the
-first such node in post-order.
 """
 
 from __future__ import annotations

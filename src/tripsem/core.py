@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNegationError, DimensionError
-from .numerics import unit_scaled
+from .numerics import scaled_norm
 
 __all__ = [
     "SegmentLayout",
@@ -75,7 +75,7 @@ def _frozen_array(values, expected_shape: tuple[int, ...], what: str) -> np.ndar
     arr = np.array(values, dtype=np.float64, order="C")
     if arr.shape != expected_shape:
         raise DimensionError(f"{what} must have shape {expected_shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} entries must be finite")
     arr.setflags(write=False)
     return arr
@@ -127,8 +127,7 @@ class FunctionMatrix:
         return cls(np.zeros((layout.n, layout.n)), layout)
 
     def frobenius_norm(self) -> float:
-        scaled, exp = unit_scaled(self.entries)
-        return float(np.ldexp(np.linalg.norm(scaled), exp))
+        return scaled_norm(self.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionMatrix):
@@ -200,25 +199,24 @@ def make_negation_matrix(op: NegationOperator) -> FunctionMatrix:
 def negate_vector(v: SemanticVector, op: NegationOperator) -> SemanticVector:
     """Apply negation: domain and stable segments are copied bit-for-bit,
     the inverted segment is multiplied by -mu."""
-    if v.layout != op.layout:
-        raise DimensionError(
-            f"vector layout {v.layout} does not match operator layout {op.layout}"
-        )
-    if op.layout.d_inverted < 1:
+    return SemanticVector(negated(v.values, v.layout, op), v.layout)
+
+
+def negated(values: np.ndarray, layout: SegmentLayout, op: NegationOperator) -> np.ndarray:
+    """A copy of the vectors ``values`` (..., n) of ``layout``, each negated by ``op``."""
+    if layout != op.layout:
+        raise DimensionError(f"vector layout {layout} does not match operator layout {op.layout}")
+    if layout.d_inverted < 1:
         raise DegenerateNegationError(
             "negation needs at least one inverted dimension (d_inverted >= 1)"
         )
-    out = v.values.copy()
-    out[op.layout.inverted_slice] *= -op.mu
-    return SemanticVector(out, v.layout)
+    out = values.copy()
+    out[..., layout.inverted_slice] *= -op.mu
+    return out
 
 
 def invert_vector(v: SemanticVector, layout: SegmentLayout) -> SemanticVector:
     """Pure inversion: negation with mu = 1."""
-    if v.layout != layout:
-        raise DimensionError(
-            f"vector layout {v.layout} does not match requested layout {layout}"
-        )
     return negate_vector(v, NegationOperator(1.0, layout))
 
 

@@ -13,9 +13,9 @@ representation (up to 17 significant digits), so ``load(save(lex))``
 reproduces every value bit-for-bit. ``save`` additionally records the
 lexicon's default negation scale as a ``# mu_default <value>`` pragma
 comment; ``load`` honours it when present and otherwise defaults to 0.5,
-so hand-written files need not carry it. A malformed lexicon is reported
-at its first faulty line in file order; the one exception is a bad
-``# mu_default`` pragma, which is reported first wherever it stands.
+so hand-written files need not carry it. A malformed lexicon, a bad
+``# mu_default`` pragma included, is reported at its first faulty line
+in file order.
 
 Random initialization is reproducible across runs and platforms: it draws
 from numpy's PCG64 generator (``numpy.random.default_rng(seed)``), taking
@@ -178,9 +178,7 @@ def dumps(lex: Lexicon) -> str:
 
 def _parse_floats(parts: list[str], count: int, lineno: int, what: str) -> np.ndarray:
     if len(parts) != count:
-        raise LexiconFormatError(
-            f"{what}: expected {count} values, got {len(parts)}", lineno
-        )
+        raise LexiconFormatError(f"{what}: expected {count} values, got {len(parts)}", lineno)
     out = np.empty(count)
     for i, text in enumerate(parts):
         try:
@@ -192,22 +190,36 @@ def _parse_floats(parts: list[str], count: int, lineno: int, what: str) -> np.nd
     return out
 
 
-def _block_values(block: list[tuple[int, list[str]]], n: int) -> np.ndarray | None:
-    """The n + n*n numbers of a well-formed ``v`` and ``m`` block as one
-    flat array, or None if any of its lines is faulty."""
-    if [parts[0] for _, parts in block] != ["v"] + ["m"] * n:
+def _read_entries(body: list[list[str]], layout: SegmentLayout) -> dict | None:
+    """The entries of the rows after the layout line, or None if any is
+    faulty. Once every row's keyword and count are checked, one ``float``
+    pass reads all numbers into a (W, 1 + n + n*n) table of each word's
+    alpha, v and M, checked with one ``isfinite``."""
+    n, width = layout.n, 1 + layout.n + layout.n**2
+    count = len(body) // (n + 2)
+    block = [("word", 3), ("v", n + 1), *[("m", n + 1)] * n] if count else []
+    if [(parts[0], len(parts)) for parts in body] != block * count:
         return None
-    if any(len(parts) != n + 1 for _, parts in block):
-        return None
+    tokens = [parts[1] for parts in body[:: n + 2]]
+    numbers = chain.from_iterable(parts[2:] if parts[0] == "word" else parts[1:] for parts in body)
     try:
-        flat = np.array(list(map(float, chain.from_iterable(p[1:] for _, p in block))))
+        table = np.fromiter(map(float, numbers), float, count * width).reshape(count, width)
     except ValueError:
         return None
-    return flat if np.isfinite(flat).all() else None
+    if len(set(tokens)) < count or not (np.isfinite(table).all() and (table[:, 0] >= 0).all()):
+        return None
+    return {
+        token: LexicalEntry(
+            token, SemanticVector(row[1 : n + 1], layout),
+            FunctionMatrix(row[n + 1 :].reshape(n, n), layout), float(row[0]),
+        )
+        for token, row in zip(tokens, table)
+    }
 
 
 def loads(text: str) -> Lexicon:
     mu_default = 0.5
+    pragma_fault: LexiconFormatError | None = None
     rows: list[tuple[int, list[str]]] = []
     last_lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -217,19 +229,25 @@ def loads(text: str) -> Lexicon:
             continue
         if stripped.startswith("#"):
             parts = stripped[1:].split()
-            if len(parts) == 2 and parts[0] == "mu_default":
-                mu_default = float(_parse_floats(parts[1:], 1, lineno, "mu_default")[0])
-                if not 0.0 < mu_default <= 1.0:
-                    raise LexiconFormatError(
-                        f"mu_default must lie in (0, 1], got {mu_default!r}", lineno
-                    )
+            if len(parts) == 2 and parts[0] == "mu_default" and pragma_fault is None:
+                try:
+                    mu_default = float(_parse_floats(parts[1:], 1, lineno, "mu_default")[0])
+                    if not 0.0 < mu_default <= 1.0:
+                        raise LexiconFormatError(
+                            f"mu_default must lie in (0, 1], got {mu_default!r}", lineno
+                        )
+                except LexiconFormatError as exc:
+                    pragma_fault = exc
             continue
         rows.append((lineno, stripped.split()))
 
     cursor = 0
 
     def take(what: str) -> tuple[int, list[str]]:
+        # a bad pragma is raised once every row before it has been read
         nonlocal cursor
+        if pragma_fault and (cursor >= len(rows) or rows[cursor][0] > pragma_fault.line):
+            raise pragma_fault
         if cursor >= len(rows):
             raise LexiconFormatError(f"unexpected end of file, expected {what}", last_lineno)
         row = rows[cursor]
@@ -248,38 +266,34 @@ def loads(text: str) -> Lexicon:
         raise LexiconFormatError(f"bad layout: {exc}", lineno) from None
     n = layout.n
 
-    entries: dict[str, LexicalEntry] = {}
-    while cursor < len(rows):
-        lineno, parts = take("word line")
-        if parts[0] != "word" or len(parts) != 3:
-            raise LexiconFormatError("expected 'word <token> <alpha>'", lineno)
-        token = parts[1]
-        if token in entries:
-            raise LexiconFormatError(f"duplicate word {token!r}", lineno)
-        alpha = float(_parse_floats([parts[2]], 1, lineno, f"alpha of {token!r}")[0])
-        if alpha < 0.0:
-            raise LexiconFormatError(
-                f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}",
-                lineno,
+    entries = _read_entries([parts for _, parts in rows[2:]], layout)
+    if entries is None:  # re-read row by row to raise the first fault
+        entries = {}
+        while cursor < len(rows):
+            lineno, parts = take("word line")
+            if parts[0] != "word" or len(parts) != 3:
+                raise LexiconFormatError("expected 'word <token> <alpha>'", lineno)
+            token = parts[1]
+            if token in entries:
+                raise LexiconFormatError(f"duplicate word {token!r}", lineno)
+            alpha = float(_parse_floats([parts[2]], 1, lineno, f"alpha of {token!r}")[0])
+            if alpha < 0.0:
+                raise LexiconFormatError(
+                    f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}",
+                    lineno,
+                )
+            block = []
+            for r, key in enumerate(["v"] + ["m"] * n):
+                what = f"matrix row {r} of {token!r}" if r else f"vector of {token!r}"
+                lineno, parts = take(what if r else f"v line of {token!r}")
+                if parts[0] != key:
+                    raise LexiconFormatError(f"expected '{key} ...' for {token!r}", lineno)
+                block.append(_parse_floats(parts[1:], n, lineno, what))
+            entries[token] = LexicalEntry(
+                token, SemanticVector(block[0], layout), FunctionMatrix(block[1:], layout), alpha
             )
-        flat = _block_values(rows[cursor : cursor + n + 1], n)
-        if flat is not None:
-            cursor += n + 1
-            v, m = flat[:n], flat[n:].reshape(n, n)
-        else:  # re-read the block line by line to raise its first fault
-            lineno, parts = take(f"v line of {token!r}")
-            if parts[0] != "v":
-                raise LexiconFormatError(f"expected 'v ...' for {token!r}", lineno)
-            v = _parse_floats(parts[1:], n, lineno, f"vector of {token!r}")
-            m = np.empty((n, n))
-            for r in range(n):
-                lineno, parts = take(f"matrix row {r + 1} of {token!r}")
-                if parts[0] != "m":
-                    raise LexiconFormatError(f"expected 'm ...' for {token!r}", lineno)
-                m[r] = _parse_floats(parts[1:], n, lineno, f"matrix row {r + 1} of {token!r}")
-        entries[token] = LexicalEntry(
-            token, SemanticVector(v, layout), FunctionMatrix(m, layout), alpha
-        )
+    if pragma_fault:
+        raise pragma_fault
     return Lexicon(layout, entries, mu_default)
 
 

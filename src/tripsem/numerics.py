@@ -35,6 +35,12 @@ def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -exp), exp
 
 
+def scaled_norm(a: np.ndarray) -> float:
+    """The 2-norm of ``a``, taken of ``unit_scaled(a)``: no overflow short of its own."""
+    scaled, exp = unit_scaled(a)
+    return float(np.ldexp(np.linalg.norm(scaled), exp))
+
+
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
     """Cosine similarity dot(u, v) / (|u| |v|), in [-1, 1].
 

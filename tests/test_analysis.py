@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tripsem.analysis import (
     SampleSet,
+    _double_negation_rows,
     check_double_negation,
     default_demo_samples,
     domain_similarity,
@@ -103,6 +104,42 @@ class TestSampleSet:
         lex = init_random(["x"], LAY211, seed=0, noise=0.0)  # M = I exactly
         with pytest.raises(ValueError):
             SampleSet.from_lexicon(lex)
+
+    def test_stacked_screen_matches_the_rule_word_by_word(self):
+        lex = init_random(["p", "q", "r", "s"], LAY211, seed=5, noise=0.2)
+        zero_v, zero_m = SemanticVector.zeros(LAY211), FunctionMatrix.zeros(LAY211)
+        for entry in (
+            replace(lex["p"], token="zero_v", v=zero_v),
+            replace(lex["p"], token="zero_m", M=zero_m),
+            replace(lex["p"], token="zero_both", v=zero_v, M=zero_m),
+            replace(lex["q"], token="identity", M=FunctionMatrix.identity(LAY211)),
+        ):
+            lex = lex.with_entry(entry)
+        lex = set_function_word(set_function_word(lex, "not", "negation"), "and", "identity")
+        entries = list(lex)
+        assert [e.token for e in SampleSet.from_lexicon(lex).entries] == [
+            e.token for e in entries if not per_entry_fault(e)
+        ]
+        for k in range(len(entries)):  # every rotation: a different word comes first
+            order = entries[k:] + entries[:k]
+            first = next((e for e in order if per_entry_fault(e)), None)
+            if first is None:
+                SampleSet(tuple(order))
+                continue
+            with pytest.raises(ValueError) as err:
+                SampleSet(tuple(order))
+            assert str(err.value) == f"sample {first.token!r} has {per_entry_fault(first)}"
+
+
+def per_entry_fault(entry):
+    """The sample assumptions checked one entry at a time."""
+    if not np.any(entry.v.values):
+        return "a zero vector"
+    if not np.any(entry.M.entries):
+        return "a zero function matrix"
+    if np.array_equal(entry.M.entries, np.eye(entry.layout.n)):
+        return "the identity as function matrix"
+    return ""
 
 
 class TestDefaultDemoSamples:
@@ -225,7 +262,7 @@ class TestBaselineFit:
 
 
 class TestOverflowingSamples:
-    """Six 1,1,1 samples at about 1e200: the normal equations overflow."""
+    """Six 1,1,1 samples at about 1e308: the solve itself overflows."""
 
     @pytest.mark.parametrize("fit, name", [
         (lambda s, op: fit_negation_baseline(s, op, op), "both"),
@@ -235,7 +272,7 @@ class TestOverflowingSamples:
     def test_fit_raises_one_value_error_and_no_warning(self, fit, name):
         layout = SegmentLayout(1, 1, 1)
         samples = SampleSet(tuple(
-            replace(entry, v=SemanticVector(1e200 * entry.v.values, layout))
+            replace(entry, v=SemanticVector(1e308 * entry.v.values, layout))
             for entry in spanning_samples(layout, count=6).entries
         ))
         op = NegationOperator(0.5, layout)
@@ -267,6 +304,18 @@ class TestHugeSamples:
             huge = fit_negation_baseline(scale_vectors(samples, 1e156), op, op, constraints="value")
         assert np.max(np.abs(huge.M_not_hat.entries - unit.M_not_hat.entries)) <= 1e-12
         assert np.max(np.abs(huge.v_not_hat.values / 1e156 - unit.v_not_hat.values)) <= 1e-12
+
+    def test_value_fit_at_1e169_matches_the_unit_scale_fit(self):
+        # the residual entries near 1e153 would square past the largest double
+        samples = default_demo_samples(50)
+        op = NegationOperator(0.5, samples.layout)
+        unit = fit_negation_baseline(samples, op, op, constraints="value")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = fit_negation_baseline(scale_vectors(samples, 1e169), op, op, constraints="value")
+        assert np.max(np.abs(huge.M_not_hat.entries - unit.M_not_hat.entries)) <= 1e-12
+        assert np.max(np.abs(huge.v_not_hat.values / 1e169 - unit.v_not_hat.values)) <= 1e-12
+        assert 0.0 < huge.residual_value < 1e-12 * 1e169
 
     def test_a_system_that_is_not_finite_is_refused_not_cut_to_rank_zero(self):
         # |M_a| overflows, so no cut can be measured against it
@@ -545,6 +594,47 @@ class TestCheckDoubleNegation:
             assert report.domain_unchanged
             assert report.signs_restored
             assert report.diminutive
+
+
+TINY = np.finfo(float).tiny
+row_entries = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, 1e300, -1e300]) | st.floats(
+    min_value=-1e3, max_value=1e3, allow_nan=False
+)
+row_mus = st.just(1.0) | st.floats(min_value=1e-6, max_value=1.0)
+
+
+def reference_double_negation(row, layout, mu, nu):
+    """Once, twice and the report's four flags for one vector, entry by entry."""
+    k = layout.d_domain + layout.d_stable
+    once = [x if i < k else x * -mu for i, x in enumerate(row)]
+    twice = [x if i < k else x * -nu for i, x in enumerate(once)]
+    signs, shrinks, underflowed = True, True, 0
+    for x, y in zip(row[k:], twice[k:]):
+        small = x != 0.0 and mu * nu * abs(x) < TINY
+        underflowed += small
+        signs = signs and (np.sign(y) == np.sign(x) or (small and y == 0.0))
+        if x != 0.0:
+            shrinks = shrinks and (abs(y) <= abs(x) if small else abs(y) < abs(x))
+    return once, twice, row[:k] == once[:k] == twice[:k], signs, shrinks, underflowed
+
+
+@given(st.lists(st.lists(row_entries, min_size=4, max_size=4), min_size=1, max_size=6),
+       row_mus, row_mus)
+def test_double_negation_rows_match_the_rule_entry_by_entry(rows, mu, nu):
+    layout = SegmentLayout(1, 1, 2)
+    op, op2 = NegationOperator(mu, layout), NegationOperator(nu, layout)
+    once, twice, *flags = _double_negation_rows(np.array(rows), layout, op, op2)
+    for r, row in enumerate(rows):
+        want_once, want_twice, *want_flags = reference_double_negation(row, layout, mu, nu)
+        entry = LexicalEntry("w", SemanticVector(row, layout), FunctionMatrix.zeros(layout), 1.0)
+        report = check_double_negation(entry, op, op2)
+        for got in (once[r], report.once.values):
+            assert got.tobytes() == np.array(want_once).tobytes()
+        for got in (twice[r], report.twice.values):
+            assert got.tobytes() == np.array(want_twice).tobytes()
+        assert [bool(f[r]) for f in flags[:3]] + [int(flags[3][r])] == want_flags
+        assert [report.domain_unchanged, report.signs_restored, report.diminutive,
+                report.underflowed] == want_flags
 
 
 class TestScopeInvariance:

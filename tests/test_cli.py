@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tripsem.cli import run
+from tripsem.cli import build_parser, run
 from tripsem.core import SegmentLayout, SemanticVector
 from tripsem.lexicon import Lexicon, init_random, load, save
 
@@ -443,7 +443,7 @@ class TestVerify:
     @pytest.mark.parametrize("check, fit", [("contradiction", "both"), ("improved-fit", "value")])
     def test_overflowing_fit_exits_two_naming_the_fit(self, tmp_path, capsys, check, fit):
         base = init_random([f"w{i}" for i in range(6)], SegmentLayout(1, 1, 1), 0, 0.1)
-        huge = {e.token: replace(e, v=SemanticVector(1e200 * e.v.values, base.layout))
+        huge = {e.token: replace(e, v=SemanticVector(1e308 * e.v.values, base.layout))
                 for e in base}
         lex = tmp_path / "huge.lex"
         save(Lexicon(base.layout, huge), lex)
@@ -514,6 +514,29 @@ class TestArgumentErrors:
         code = run(["negate", "--lexicon", str(tmp_path / "gone.lex"), "--word", "a"])
         assert code == 2
         assert capsys.readouterr().err.startswith("tripsem: ")
+
+
+class TestParserReuse:
+    """One parser serves every run of a process and carries nothing between them."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_an_option_does_not_outlive_its_run(self, demo_lexicon_path, capsys):
+        negate = ["negate", *DEMO_ARGS(demo_lexicon_path), "--word", "blue"]
+        assert run(negate + ["--mu", "0.3"]) == 0
+        assert "negate mu: 0.3" in lines_of(capsys)
+        assert run(negate) == 0
+        assert f"negate mu: {load(demo_lexicon_path).mu_default!r}" in lines_of(capsys)
+
+    def test_a_usage_error_between_runs_changes_nothing(self, demo_lexicon_path, capsys):
+        verify = ["verify", "double-negation", *DEMO_ARGS(demo_lexicon_path)]
+        assert run(verify) == 0
+        before = capsys.readouterr().out
+        assert run(["verify", "everything", *DEMO_ARGS(demo_lexicon_path), "--tree"]) == 2
+        assert capsys.readouterr().out == ""
+        assert run(verify) == 0
+        assert capsys.readouterr().out == before
 
 
 def test_console_entry_point(demo_lexicon_path):

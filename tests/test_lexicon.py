@@ -368,6 +368,27 @@ class TestLoadErrors:
         assert "mu_default must lie in (0, 1]" in str(err.value)
         assert "(line 4)" in str(err.value)
 
+    def test_bad_mu_default_pragma_is_reported_in_file_order(self):
+        text = "NOTMAGIC 1\nlayout 2 1 1\nword a 1\nv x\n# mu_default 2.0\n"
+        with pytest.raises(LexiconFormatError) as err:
+            loads(text)
+        assert str(err.value) == "bad header, expected 'TRIPSEM 1' (line 1)"
+
+    def test_bad_mu_default_pragma_before_a_faulty_row_is_reported_first(self):
+        lines = list(TWO_WORDS)
+        lines[10:11] = ["# mu_default x", "m 2 0 0"]
+        with pytest.raises(LexiconFormatError) as err:
+            loads("\n".join(lines) + "\n")
+        assert str(err.value) == "mu_default: bad number 'x' (line 11)"
+
+    def test_first_faulty_block_is_reported_before_a_later_one(self):
+        lines = list(TWO_WORDS)
+        lines[10] = "m 2 x 0 0"  # block 2, line 11: a bad number
+        lines += ["word c 1.0", "q 1 2 3 4"] + ["m 1 0 0 0"] * 4  # block 3: a bad keyword
+        with pytest.raises(LexiconFormatError) as err:
+            loads("\n".join(lines) + "\n")
+        assert str(err.value) == "matrix row 1 of 'b': bad number 'x' (line 11)"
+
     def test_wrong_vector_length_names_its_line(self):
         text = "TRIPSEM 1\nlayout 2 1 1\nword a 1.0\nv 1.0 2.0\n"
         with pytest.raises(LexiconFormatError) as err:

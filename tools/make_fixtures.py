@@ -13,15 +13,22 @@ The contradiction-bound fixture has its own generator,
 tools/contradiction_bound_oracle.py, and is not touched here.
 
 Run from the repository root:  python3 tools/make_fixtures.py
+
+The package is imported from src/ of this checkout, which goes first on
+sys.path, so the script needs no install and never reads another copy.
 """
 
+import sys
 from pathlib import Path
 
-from tripsem import LexicalEntry, NegationOperator, negate_vector
-from tripsem.cli import run
-from tripsem.lexicon import load, save
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+from tripsem import LexicalEntry, NegationOperator, negate_vector  # noqa: E402
+from tripsem.cli import run  # noqa: E402
+from tripsem.lexicon import load, save  # noqa: E402
+
+FIXTURES = ROOT / "tests" / "fixtures"
 
 TREE = "(S (NP (Det this) (N car)) (VP (VBZ is) (RB not) (ADJP (JJ blue))))"
 
