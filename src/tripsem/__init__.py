@@ -9,12 +9,7 @@ evaluates a binary parse tree by running the same step in one pass over
 the tree's flat post-order arrays, lexicon I/O with seeded deterministic
 initialization, and least-squares fits of the negation constraint system
 that show the baseline model cannot satisfy it while the alpha-weighted
-model can.
-
-The step computes v_p = M_a v_b + M_b v_a and M_p = w_a M_a + w_b M_b.
-``CompositionConfig`` has one field, ``model``: under ``baseline`` the
-weights are (1, 1); under ``improved`` they are (alpha_a/Z, 1 - alpha_a/Z)
-with Z = alpha_a + alpha_b, and Z = 0 raises ``DegenerateWeightsError``.
+model can. ``tripsem.composition`` defines the two composition models.
 """
 
 from .analysis import (

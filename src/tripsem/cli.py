@@ -4,14 +4,10 @@ Subcommands: lexicon-init, negate, compose, sim, verify. Reports are plain
 text, one ``<command> <key>: <value>`` pair per line, with floats printed
 as shortest round-trip decimals (so repeated runs are byte-identical and
 reports can be diffed in tests). Exit status is 0 on success, 1 when a
-verify check fails, and 2 on usage errors (bad flags, missing files,
-unknown words, layout mismatches, an improved-model step whose alphas are
-both zero, a composed vector or matrix that overflows), which print
-nothing on stdout and a one-line ``tripsem: ...`` diagnostic on stderr.
-A failing verify check (exit 1) still prints its whole report. A layout
-too large to allocate and any other floating-point overflow exit 2 the
-same way, never with a numpy warning. Trees of any depth are read and
-composed; the parser and composer loop over flat arrays.
+verify check fails (its whole report is still printed), and 2 on any
+usage error or overflow, which prints nothing on stdout and a one-line
+``tripsem: ...`` diagnostic on stderr, never a numpy warning. README's
+CLI section lists the usage errors.
 
 The pass condition of each verify check is the value its ``_verify_*``
 function returns; README's CLI section states all four in words.
@@ -90,7 +86,8 @@ def _read_words(path: str) -> list[str]:
 
 
 def _read_one_tree(path: str):
-    trees = parse_forest(Path(path).read_text(encoding="utf-8"))
+    # read without newline translation, so error offsets count the file's characters
+    trees = parse_forest(Path(path).read_bytes().decode("utf-8"))
     if len(trees) != 1:
         raise ValueError(f"{path} must contain exactly one tree, found {len(trees)}")
     return trees[0]
@@ -241,11 +238,9 @@ def _verify_scope(lex: Lexicon, args) -> tuple[list, bool]:
     n = lex.layout.n
     rng = np.random.default_rng(0)
     perturbation = FunctionMatrix(rng.standard_normal((n, n)), lex.layout)
-    baseline = scope_invariance_report(
-        tree, lex, CompositionConfig(model="baseline"), perturbation
-    )
-    improved = scope_invariance_report(
-        tree, lex, CompositionConfig(model="improved"), perturbation
+    baseline, improved = (
+        scope_invariance_report(tree, lex, CompositionConfig(model=model), perturbation)
+        for model in MODELS
     )
     p_norm = baseline.perturbation_norm
     baseline_error = abs(baseline.delta - p_norm)

@@ -18,6 +18,8 @@ Both public functions run one step kernel, ``_step``, on plain arrays.
 ``compose_pair`` wraps its result in a ``LexicalEntry``; ``compose_tree``
 evaluates a whole binary tree in one pass over its flat post-order arrays,
 calling the kernel once per internal node, and wraps only the root.
+Finiteness is tested apart from the step: ``compose_pair`` tests its
+parent, ``compose_tree`` only its root (see there why that is exact).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FunctionMatrix, LexicalEntry, SemanticVector
-from .errors import DegenerateWeightsError, DimensionError, TreeArityError
+from .errors import DegenerateWeightsError, DimensionError, TreeArityError, UnknownTokenError
 from .lexicon import Lexicon
 from .treeio import ParseTree, _bracketed, _describe
 
@@ -51,9 +53,8 @@ class CompositionConfig:
 def _step(va, ma, aa, vb, mb, ab, baseline: bool, where) -> tuple:
     """The composition step on plain arrays: the parent's (v, M, alpha).
 
-    ``where()`` names the step and is called only to word an error. Callers
-    hold numpy's overflow warnings off: a non-finite parent is reported
-    only through the ``ValueError`` here."""
+    ``where()`` names the step, only to word an error. Callers test the
+    parent with ``_check_finite`` and hold numpy's overflow warnings off."""
     v = ma @ vb + mb @ va
     if baseline:
         m = ma + mb
@@ -63,15 +64,17 @@ def _step(va, ma, aa, vb, mb, ab, baseline: bool, where) -> tuple:
             raise DegenerateWeightsError(f"both alphas are zero at {where()}")
         weight_a = aa / z
         m = weight_a * ma + (1.0 - weight_a) * mb
+    return v, m, max(aa, ab)
+
+
+def _check_finite(v, m, where) -> None:
+    """Raise a one-line ``ValueError`` naming ``where()`` unless v and M are finite."""
     # Squares sum to a finite number only when every entry is finite,
     # unless a large finite entry overflows them: then look closer.
     if not math.isfinite(v.dot(v) + np.vdot(m, m)):
         for what, values in (("semantic vector", v), ("function matrix", m)):
             if not np.isfinite(values).all():
-                raise ValueError(
-                    f"{what} entries are not finite after composing {where()}"
-                )
-    return v, m, max(aa, ab)
+                raise ValueError(f"{what} entries are not finite after composing {where()}")
 
 
 def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> LexicalEntry:
@@ -82,11 +85,16 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
             f"cannot compose {a.token!r} (layout {layout}) with "
             f"{b.token!r} (layout {b.layout})"
         )
+
+    def where() -> str:
+        return f"{a.token!r} and {b.token!r}"
+
     with np.errstate(over="ignore", invalid="ignore"):
         v_p, m_p, alpha_p = _step(
             a.v.values, a.M.entries, a.alpha, b.v.values, b.M.entries, b.alpha,
-            cfg.model == "baseline", lambda: f"{a.token!r} and {b.token!r}",
+            cfg.model == "baseline", where,
         )
+        _check_finite(v_p, m_p, where)
     return LexicalEntry(
         f"({a.token} {b.token})",
         SemanticVector(v_p, layout),
@@ -115,6 +123,11 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     one-line ``ValueError`` naming the first node, by tag and leaf span,
     whose vector or matrix is not finite. Overflow is reported only
     through that error, never as a numpy warning.
+
+    Finiteness is tested at the root only, which is exact: a NaN or inf in
+    any node reaches the root, as the matrix rule is elementwise (``0 * inf``
+    is NaN) and ``M @ v`` skips only zero entries of v. On a non-finite root
+    or an error the loop runs again, testing every step, to raise the first fault.
     """
     tags, tokens, kids = tree._tags, tree._tokens, tree._kids
     lo, hi = tree._first(), tree._i + 1
@@ -125,13 +138,13 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
             "composition needs a binary tree (binarize first)"
         )
     baseline = cfg.model == "baseline"
-    leaves: dict[str, tuple] = {}
-    stack: list[tuple] = []
 
-    def where() -> str:  # reads the loop's j: the node being composed
-        return _describe(tree, j)
+    def fold(checked: bool) -> tuple:
+        def where() -> str:  # reads the loop's j: the node being composed
+            return _describe(tree, j)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+        leaves: dict[str, tuple] = {}
+        stack: list[tuple] = []
         for j in range(lo, hi):
             token = tokens[j]
             if token is not None:
@@ -143,10 +156,21 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
                 continue
             vb, mb, ab = stack.pop()
             va, ma, aa = stack[-1]
-            stack[-1] = _step(va, ma, aa, vb, mb, ab, baseline, where)
+            stack[-1] = parent = _step(va, ma, aa, vb, mb, ab, baseline, where)
+            if checked:
+                _check_finite(parent[0], parent[1], where)
+        return stack[0]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            v, m, alpha = fold(checked=False)
+            _check_finite(v, m, lambda: _describe(tree, hi - 1))
+        except (UnknownTokenError, ValueError):
+            v = None
+        if v is None:
+            fold(checked=True)  # raises the fold's first fault
     if tokens[hi - 1] is not None:
         return lexicon[tokens[hi - 1]]
-    v, m, alpha = stack[0]
     layout = lexicon.layout
     return LexicalEntry(
         _bracketed(tree, tagged=False),

@@ -147,20 +147,26 @@ def format_tree(tree: ParseTree) -> str:
     return _bracketed(tree, tagged=True)
 
 
-def _error(text: str, message: str, k: int, end: bool = False) -> TreeParseError:
-    """The error at the start (or end) of the k-th token of ``text``, or at
-    the end of the text when it has no k-th token."""
-    for j, match in enumerate(_TOKEN.finditer(text)):
+def _error(span: tuple, message: str, k: int, end: bool = False) -> TreeParseError:
+    """The error at the start (or end) of the k-th token of the span
+    ``(text, pos, endpos)``, or at ``endpos`` when it has no k-th token."""
+    for j, match in enumerate(_TOKEN.finditer(*span)):
         if j == k:
             return TreeParseError(message, match.end() if end else match.start())
-    return TreeParseError(message, len(text))
+    return TreeParseError(message, span[2])
 
 
 def parse_bracketed(text: str) -> ParseTree:
     """Parse a single balanced bracketed expression into a ParseTree."""
-    matches = _TOKEN.findall(text)
+    return _parse(text, 0, len(text))
+
+
+def _parse(text: str, pos: int, endpos: int) -> ParseTree:
+    """``parse_bracketed`` of ``text[pos:endpos]``, offsets counted in ``text``."""
+    span = (text, pos, endpos)
+    matches = _TOKEN.findall(*span)
     if not matches or not (matches[0][1] or matches[0][2] == "("):
-        raise _error(text, "expected '('", 0)
+        raise _error(span, "expected '('", 0)
     tags, tokens, kids = [], [], []
     # One (tag, child node indices, bare token match indices) per open node.
     open_nodes: list[tuple[str, list[int], list[int]]] = []
@@ -168,7 +174,7 @@ def parse_bracketed(text: str) -> ParseTree:
     for i, (tag, token, tok) in enumerate(matches):
         if want_tag:
             if token or tok in ("(", ")"):
-                raise _error(text, "missing tag after '('", i)
+                raise _error(span, "missing tag after '('", i)
             open_nodes.append((tok, [], []))
             want_tag = False
             continue
@@ -182,15 +188,15 @@ def parse_bracketed(text: str) -> ParseTree:
         elif tok == ")":
             tag, children, bare = open_nodes.pop()
             if children and bare:
-                raise _error(text, "node mixes bare tokens with subtrees", bare[0], end=True)
+                raise _error(span, "node mixes bare tokens with subtrees", bare[0], end=True)
             if bare:
                 if len(bare) > 1:
-                    raise _error(text, "leaf has more than one token", bare[1], end=True)
+                    raise _error(span, "leaf has more than one token", bare[1], end=True)
                 tokens.append(matches[bare[0]][2])
             elif children:
                 tokens.append(None)
             else:
-                raise _error(text, "empty node", i, end=True)
+                raise _error(span, "empty node", i, end=True)
             tags.append(tag)
             kids.append(tuple(children))
         else:
@@ -202,22 +208,26 @@ def parse_bracketed(text: str) -> ParseTree:
         open_nodes[-1][1].append(len(tags) - 1)
     else:
         if want_tag:
-            raise _error(text, "missing tag after '('", len(matches))
-        raise _error(text, "unbalanced brackets: unexpected end of input", len(matches))
+            raise _error(span, "missing tag after '('", len(matches))
+        raise _error(span, "unbalanced brackets: unexpected end of input", len(matches))
     if i + 1 < len(matches):
-        raise _error(text, "trailing content after tree", i + 1)
+        raise _error(span, "trailing content after tree", i + 1)
     return ParseTree(tuple(tags), tuple(tokens), tuple(kids), len(tags) - 1)
 
 
 def parse_forest(text: str) -> list[ParseTree]:
-    """Parse several trees separated by blank lines."""
-    blocks: list[list[str]] = [[]]
-    for line in text.splitlines():
+    """Parse several trees separated by blank lines. Each is parsed where it
+    stands, so an error's offset counts from the start of ``text``."""
+    trees, start, pos = [], None, 0
+    for line in text.splitlines() + [""]:  # "" ends the last tree
         if line.strip():
-            blocks[-1].append(line)
-        elif blocks[-1]:
-            blocks.append([])
-    return [parse_bracketed("\n".join(block)) for block in blocks if block]
+            start = pos if start is None else start
+            end = pos + len(line)
+        elif start is not None:
+            trees.append(_parse(text, start, end))
+            start = None
+        pos += len(line) + (2 if text.startswith("\r\n", pos + len(line)) else 1)
+    return trees
 
 
 def binarize(tree: ParseTree, strategy: str = "right") -> ParseTree:

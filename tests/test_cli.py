@@ -267,6 +267,19 @@ class TestCompose:
         assert code == 2
         assert "exactly one tree, found 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("newline, offset", [("\n", 18), ("\r\n", 20)])
+    def test_parse_error_offset_counts_from_the_start_of_the_file(
+        self, demo_lexicon_path, tmp_path, capsys, newline, offset
+    ):
+        tree = tmp_path / "truncated.tree"
+        tree.write_bytes(f"(W car){newline}{newline}(S (W is){newline}".encode())
+        code = run(["compose", *DEMO_ARGS(demo_lexicon_path), "--tree", str(tree)])
+        assert code == 2
+        # the offset is the end of "(S (W is)", the last line of the second tree
+        assert capsys.readouterr().err == (
+            f"tripsem: unbalanced brackets: unexpected end of input (offset {offset})\n"
+        )
+
 
 class TestSim:
     def test_negated_word_keeps_domain_cosine_one(self, demo_lexicon_path, capsys):

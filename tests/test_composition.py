@@ -30,6 +30,7 @@ from tripsem.treeio import ParseTree, binarize, parse_bracketed
 LAY211 = SegmentLayout(2, 1, 1)
 DEFAULT = CompositionConfig()
 IMPROVED = CompositionConfig(model="improved")
+MODELS = ["baseline", "improved"]
 
 
 def entry(token, values, matrix, alpha=1.0, layout=LAY211):
@@ -414,6 +415,118 @@ class TestComposeTreeIsTheFold:
             "semantic vector entries are not finite after composing "
             "node 'C' over leaves 4-5"
         )
+
+
+class TestRootOnlyFiniteTest:
+    """``compose_tree`` tests finiteness at the root alone and, when that
+    fails or the loop raises, replays the loop testing every step. It must
+    raise what the fold raises, at the same step: the fold names a step by
+    its two tokens and ``compose_tree`` by its node."""
+
+    @pytest.fixture
+    def lexicon(self):
+        return Lexicon(
+            LAY211,
+            {
+                "one": entry("one", [1.0] * 4, np.eye(4)),
+                # a pair of these overflows its matrix alone under baseline
+                "huge": entry("huge", [0.0] * 4, 1.5e308 * np.eye(4)),
+                # a pair of these overflows its vector alone
+                "big": entry("big", [1e300] * 4, 1e10 * np.eye(4)),
+                "nil": entry("nil", [1.0] * 4, np.eye(4), alpha=0.0),
+            },
+        )
+
+    VECTOR = "semantic vector entries are not finite after composing {}"
+    MATRIX = "function matrix entries are not finite after composing {}"
+    ZERO = "both alphas are zero at {}"
+    GHOST = "token 'ghost' is not in the lexicon"
+
+    @pytest.mark.parametrize(
+        "text, models, kind, message, pair, node",
+        [
+            ("(S (W one) (A (W huge) (W huge)))", ["baseline"], ValueError, MATRIX,
+             "'huge' and 'huge'", "node 'A' over leaves 2-3"),
+            ("(S (A (W big) (W big)) (W one))", MODELS, ValueError, VECTOR,
+             "'big' and 'big'", "node 'A' over leaves 1-2"),
+            # an overflow before an unknown token in post-order, then after one
+            ("(S (A (W big) (W big)) (W ghost))", MODELS, ValueError, VECTOR,
+             "'big' and 'big'", "node 'A' over leaves 1-2"),
+            ("(S (W ghost) (A (W big) (W big)))", MODELS, UnknownTokenError, GHOST,
+             None, None),
+            # an overflow before a Z = 0 node in post-order, then after one
+            ("(S (A (W big) (W big)) (B (W nil) (W nil)))", ["improved"], ValueError,
+             VECTOR, "'big' and 'big'", "node 'A' over leaves 1-2"),
+            ("(S (B (W nil) (W nil)) (A (W big) (W big)))", ["improved"],
+             DegenerateWeightsError, ZERO, "'nil' and 'nil'", "node 'B' over leaves 1-2"),
+        ],
+    )
+    def test_same_error_at_the_same_step_as_the_fold(
+        self, lexicon, text, models, kind, message, pair, node
+    ):
+        tree = parse_bracketed(text)
+        for model in models:
+            cfg = CompositionConfig(model=model)
+            got = outcome(compose_tree, tree, lexicon, cfg)
+            want = outcome(fold, tree, lexicon, cfg)
+            assert type(got) is type(want) is kind
+            assert str(want) == message.format(pair)
+            assert str(got) == message.format(node)
+
+    def test_near_overflow_matrices_stay_finite_under_improved(self, lexicon):
+        """The improved matrix rule is a convex combination, so the pair
+        that overflows under baseline composes to a finite root."""
+        tree = parse_bracketed("(S (W one) (A (W huge) (W huge)))")
+        got = compose_tree(tree, lexicon, IMPROVED)
+        want = fold(tree, lexicon, IMPROVED)
+        assert np.array_equal(got.M.entries, want.M.entries)
+        assert np.array_equal(got.v.values, want.v.values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from([True, False]),
+        st.sampled_from([0, 1, 2, 3]),
+        st.sampled_from([np.inf, -np.inf, np.nan]),
+    )
+    def test_a_non_finite_child_gives_a_non_finite_parent(self, data, baseline, which, bad):
+        """Why the root test is exact: under both models, with any weights,
+        a NaN or inf in either child's vector or matrix reaches the parent,
+        through 0 * inf = NaN when that child's weight is 0."""
+        values = st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 1e-300, 1e300])
+        arrays = [
+            np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+            for size in (4, 16, 4, 16)
+        ]
+        arrays[which].flat[data.draw(st.integers(0, arrays[which].size - 1))] = bad
+        va, ma, vb, mb = arrays
+        aa, ab = data.draw(
+            st.sampled_from([(0.0, 1.0), (1.0, 0.0), (1e-300, 1.0), (1.0, 3.0)])
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, m, _ = composition._step(
+                va, ma.reshape(4, 4), aa, vb, mb.reshape(4, 4), ab, baseline, str
+            )
+        assert not (np.isfinite(v).all() and np.isfinite(m).all())
+
+    def test_a_fault_free_tree_tests_finiteness_once(self, monkeypatch, lexicon):
+        calls = []
+        check = composition._check_finite
+
+        def counted(v, m, where):
+            calls.append(where)
+            check(v, m, where)
+
+        monkeypatch.setattr(composition, "_check_finite", counted)
+        clean = parse_bracketed("(S (A (W one) (W big)) (B (W one) (W nil)))")
+        for cfg in (DEFAULT, IMPROVED):
+            compose_tree(clean, lexicon, cfg)
+        assert len(calls) == 2
+        # a faulty tree: the root test, then the replay's steps up to the fault
+        calls.clear()
+        with pytest.raises(ValueError):
+            compose_tree(parse_bracketed("(S (W one) (A (W big) (W big)))"), lexicon, DEFAULT)
+        assert len(calls) == 2
 
 
 class TestDeepChain:

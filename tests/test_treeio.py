@@ -9,6 +9,19 @@ from tripsem.treeio import ParseTree, binarize, format_tree, parse_bracketed, pa
 
 SENTENCE = "(S (NP (Det this) (N car)) (VP (VBZ is) (RB not) (ADJP (JJ blue))))"
 
+PARSE_ERRORS = [
+    ("  ", "expected '('", 2),
+    ("x(S a)", "expected '('", 0),
+    ("( ", "missing tag after '('", 2),
+    ("((S a))", "missing tag after '('", 1),
+    ("(S (A a) (B ))", "empty node", 13),
+    ("(S (A a) (B", "unbalanced brackets: unexpected end of input", 11),
+    ("(S a (B b))", "node mixes bare tokens with subtrees", 4),
+    ("(S (B b) a c)", "node mixes bare tokens with subtrees", 10),
+    ("(S (A a)\n (B b c))", "leaf has more than one token", 16),
+    ("(S (A a)(B b))(C c)", "trailing content after tree", 14),
+]
+
 
 def leaves(tags_tokens):
     return tuple(ParseTree.leaf(t, w) for t, w in tags_tokens)
@@ -56,21 +69,7 @@ class TestParse:
         with pytest.raises(TreeParseError):
             parse_bracketed(bad)
 
-    @pytest.mark.parametrize(
-        "text, message, offset",
-        [
-            ("  ", "expected '('", 2),
-            ("x(S a)", "expected '('", 0),
-            ("( ", "missing tag after '('", 2),
-            ("((S a))", "missing tag after '('", 1),
-            ("(S (A a) (B ))", "empty node", 13),
-            ("(S (A a) (B", "unbalanced brackets: unexpected end of input", 11),
-            ("(S a (B b))", "node mixes bare tokens with subtrees", 4),
-            ("(S (B b) a c)", "node mixes bare tokens with subtrees", 10),
-            ("(S (A a)\n (B b c))", "leaf has more than one token", 16),
-            ("(S (A a)(B b))(C c)", "trailing content after tree", 14),
-        ],
-    )
+    @pytest.mark.parametrize("text, message, offset", PARSE_ERRORS)
     def test_each_error_names_its_offset(self, text, message, offset):
         with pytest.raises(TreeParseError) as err:
             parse_bracketed(text)
@@ -104,6 +103,42 @@ class TestForest:
 
     def test_empty_input(self):
         assert parse_forest("  \n\n") == []
+
+    @pytest.mark.parametrize(
+        "text, message, offset", [case for case in PARSE_ERRORS if case[0].strip()]
+    )
+    def test_a_single_tree_keeps_its_offsets(self, text, message, offset):
+        with pytest.raises(TreeParseError) as err:
+            parse_forest(text + "\n")
+        assert str(err.value) == f"{message} (offset {offset})"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "trees, message, marker, shift",
+        [
+            # the end of input is the end of the faulty tree's last line
+            (["(W car)", "(S (W is)"], "unbalanced brackets: unexpected end of input", "(S (W is)", 9),
+            (["(A a)", "(S (A a))\n(C c)"], "trailing content after tree", "(C c)", 0),
+            (["(A a)", "(B\n b)", "(C\n (X x) (c)"], "empty node", "(c)", 3),
+            (["(A a)", "(B b)", "(S (A a)\n (B b c))"], "leaf has more than one token", "c))", 1),
+        ],
+    )
+    def test_offsets_count_from_the_start_of_the_text(
+        self, trees, message, marker, shift, newline
+    ):
+        """An error in the 2nd or 3rd tree, with LF or CRLF line endings."""
+        text = (newline * 2).join(tree.replace("\n", newline) for tree in trees) + newline
+        offset = text.rindex(marker) + shift
+        with pytest.raises(TreeParseError) as err:
+            parse_forest(text)
+        assert str(err.value) == f"{message} (offset {offset})"
+        assert err.value.offset == offset
+
+    def test_offsets_skip_leading_blank_lines(self):
+        text = "\n \r\n\t\n  (S (A a) (B ))\n"
+        with pytest.raises(TreeParseError) as err:
+            parse_forest(text)
+        assert err.value.offset == text.index("(B )") + 4
 
 
 class TestBinarize:
