@@ -48,7 +48,6 @@ from .core import (
     NegationOperator,
     SegmentLayout,
     SemanticVector,
-    make_negation_matrix,
     negated,
 )
 from .errors import DimensionError
@@ -217,8 +216,8 @@ def _value_triples(
     value design. Shapes are (2S, n), (2S, n, n) and (2S, n).
     """
     v, m = _stacked(samples.entries)
-    once = v @ make_negation_matrix(op).entries.T
-    twice = once @ make_negation_matrix(op2).entries.T
+    once = negated(v, samples.layout, op)
+    twice = negated(once, samples.layout, op2)
     n = v.shape[1]
     w = np.stack([v, once], axis=1).reshape(-1, n)
     t = np.stack([once, twice], axis=1).reshape(-1, n)

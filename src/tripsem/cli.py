@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import (
     SampleSet,
     _double_negation_rows,
+    _stacked,
     domain_similarity,
     fit_negation_baseline,
     fit_negation_improved,
@@ -154,11 +155,15 @@ def _fit_inputs(lex: Lexicon):
     samples = SampleSet.from_lexicon(lex)
     op = NegationOperator(lex.mu_default, lex.layout)
     head = [("samples", len(samples)), ("mu", float(lex.mu_default))]
-    return samples, op, make_negation_matrix(op).entries, head
+    # FIT_TOL in the samples' units, from their largest magnitudes s_v and
+    # s_m: residuals have the units of v, v_not those of v over M
+    s_v, s_m = (float(np.abs(x).max()) for x in _stacked(samples.entries))
+    tolerances = FIT_TOL * max(1.0, s_v), FIT_TOL * max(1.0, s_v / s_m)
+    return samples, op, make_negation_matrix(op).entries, head, *tolerances
 
 
 def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
-    samples, op, j_mu, rows = _fit_inputs(lex)
+    samples, op, j_mu, rows, residual_tol, v_tol = _fit_inputs(lex)
     joint = fit_negation_baseline(samples, op, op)
     value_only = fit_negation_baseline(samples, op, op, constraints="value")
     function_only = fit_negation_baseline(samples, op, op, constraints="function")
@@ -184,15 +189,15 @@ def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
     return rows, (
         joint.residual_total > RESIDUAL_FLOOR
         and value_m_error <= FIT_TOL
-        and value_v_error <= FIT_TOL
-        and value_only.residual_value <= FIT_TOL
+        and value_v_error <= v_tol
+        and value_only.residual_value <= residual_tol
         and function_m_error <= FIT_TOL
         and function_only.residual_function <= FIT_TOL
     )
 
 
 def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
-    samples, op, j_mu, rows = _fit_inputs(lex)
+    samples, op, j_mu, rows, residual_tol, v_tol = _fit_inputs(lex)
     fit = fit_negation_improved(samples, op, op)
     m_error = scaled_norm(fit.M_not_hat.entries - j_mu)
     v_error = scaled_norm(fit.v_not_hat.values)
@@ -207,8 +212,8 @@ def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
     return rows, (
         abs(fit.alpha_not_hat) <= FIT_TOL
         and m_error <= FIT_TOL
-        and v_error <= FIT_TOL
-        and fit.residual_total <= FIT_TOL
+        and v_error <= v_tol
+        and fit.residual_total <= residual_tol
     )
 
 

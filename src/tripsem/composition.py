@@ -12,7 +12,10 @@ the vector rule v_p = M_a v_b + M_b v_a and differ only in the weights
   but contributes nothing to any parent matrix. When Z = 0 the weights
   are undefined and the step raises ``DegenerateWeightsError``.
 
-Under both models the parent weight is alpha_p = max(alpha_a, alpha_b).
+Under both models the parent weight is alpha_p = max(alpha_a, alpha_b),
+and the parent's token is the phrase it covers: its leaf tokens, left to
+right, joined by single spaces. Joining is associative, so a tree's root
+token does not depend on how the tree was binarized.
 
 Both public functions run one step kernel, ``_step``, on plain arrays.
 ``compose_pair`` wraps its result in a ``LexicalEntry``; ``compose_tree``
@@ -32,7 +35,7 @@ import numpy as np
 from .core import FunctionMatrix, LexicalEntry, SemanticVector
 from .errors import DegenerateWeightsError, DimensionError, TreeArityError, UnknownTokenError
 from .lexicon import Lexicon
-from .treeio import ParseTree, _bracketed, _describe
+from .treeio import ParseTree, _describe
 
 __all__ = ["CompositionConfig", "compose_pair", "compose_tree"]
 
@@ -96,7 +99,7 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
         )
         _check_finite(v_p, m_p, where)
     return LexicalEntry(
-        f"({a.token} {b.token})",
+        f"{a.token} {b.token}",
         SemanticVector(v_p, layout),
         FunctionMatrix(m_p, layout),
         alpha_p,
@@ -113,8 +116,8 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     (v, M, alpha) arrays: a leaf pushes its entry's arrays, an internal node
     replaces its two children by the result of the step ``compose_pair``
     runs, so the root is bit for bit the post-order fold of
-    ``compose_pair``. A leaf root is its lexicon entry; any other root is a
-    new ``LexicalEntry`` whose token is the fold's ``"(a b)"`` string.
+    ``compose_pair``, token for token. A leaf root is its lexicon entry,
+    any other a new ``LexicalEntry`` named ``" ".join(tree.fringe())``.
 
     Arity is checked first, over the whole tree: the first node in
     post-order with other than two children raises ``TreeArityError``
@@ -173,7 +176,7 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
         return lexicon[tokens[hi - 1]]
     layout = lexicon.layout
     return LexicalEntry(
-        _bracketed(tree, tagged=False),
+        " ".join(filter(None, tokens[lo:hi])),  # tree.fringe(), without building the tuple
         SemanticVector(v, layout),
         FunctionMatrix(m, layout),
         alpha,

@@ -120,9 +120,8 @@ class ParseTree:
         return f"<ParseTree {format_tree(self)}>"
 
 
-def _bracketed(tree: ParseTree, tagged: bool) -> str:
-    """``format_tree`` when ``tagged``; else the composed-token form, where
-    a leaf is its token and a node is ``(child child ...)``."""
+def format_tree(tree: ParseTree) -> str:
+    """Canonical single-space bracketed rendering, in one loop over a stack."""
     tags, tokens, kids = tree._tags, tree._tokens, tree._kids
     out = []
     todo: list = [tree._i]
@@ -131,20 +130,13 @@ def _bracketed(tree: ParseTree, tagged: bool) -> str:
         if isinstance(item, str):
             out.append(item)
         elif tokens[item] is not None:
-            out.append(f"({tags[item]} {tokens[item]})" if tagged else tokens[item])
+            out.append(f"({tags[item]} {tokens[item]})")
         else:
-            out.append("(" + tags[item] if tagged else "(")
+            out.append("(" + tags[item])
             todo.append(")")
             for k in reversed(kids[item]):
                 todo += (k, " ")
-            if not tagged:
-                todo.pop()
     return "".join(out)
-
-
-def format_tree(tree: ParseTree) -> str:
-    """Canonical single-space bracketed rendering."""
-    return _bracketed(tree, tagged=True)
 
 
 def _error(span: tuple, message: str, k: int, end: bool = False) -> TreeParseError:

@@ -261,6 +261,30 @@ class TestBaselineFit:
             )
 
 
+class TestLayoutWithoutInvertedSegment:
+    """At 2,1,0 negation has nothing to flip: the fits that negate raise
+    DegenerateNegationError, as every other negation does; the
+    function-only fit negates nothing and is unaffected."""
+
+    LAY210 = SegmentLayout(2, 1, 0)
+
+    def fit_args(self):
+        op = NegationOperator(0.5, self.LAY210)
+        return spanning_samples(self.LAY210, count=6), op, op
+
+    @pytest.mark.parametrize("constraints", ["both", "value"])
+    def test_negating_fits_raise(self, constraints):
+        with pytest.raises(DegenerateNegationError):
+            fit_negation_baseline(*self.fit_args(), constraints=constraints)
+        with pytest.raises(DegenerateNegationError):
+            fit_negation_improved(*self.fit_args())
+
+    def test_function_only_fit_is_unaffected(self):
+        fit = fit_negation_baseline(*self.fit_args(), constraints="function")
+        assert fit.solver == "closed-form"
+        assert not fit.M_not_hat.entries.any() and fit.residual_total == 0.0
+
+
 class TestOverflowingSamples:
     """Six 1,1,1 samples at about 1e308: the solve itself overflows."""
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from tripsem.cli import build_parser, run
-from tripsem.core import SegmentLayout, SemanticVector
+from tripsem.core import FunctionMatrix, SegmentLayout, SemanticVector
 from tripsem.lexicon import Lexicon, init_random, load, save
 
 DEMO_ARGS = lambda path: ["--lexicon", str(path)]  # noqa: E731
@@ -464,6 +464,45 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"tripsem: the {fit!r} fit overflows: sample values too large\n"
+
+    @pytest.mark.parametrize("check", ["contradiction", "improved-fit"])
+    def test_fit_on_a_layout_without_inverted_segment_exits_two(self, tmp_path, capsys, check):
+        lex = tmp_path / "no_inverted.lex"
+        save(init_random([f"w{i}" for i in range(6)], SegmentLayout(2, 1, 0), 3, 0.1), lex)
+        assert run(["verify", check, "--lexicon", str(lex)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "tripsem: negation needs at least one inverted dimension (d_inverted >= 1)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "count, v_scale, m_scale, passed",
+        [(6, 1e200, 1.0, True), (6, 2.0**400, 2.0**400, True), (2, 2.0**400, 2.0**400, False)],
+    )
+    @pytest.mark.parametrize("check, m_error", [
+        ("contradiction", "value_only.m_error"), ("improved-fit", "m_error"),
+    ])
+    def test_fits_are_judged_in_the_samples_units(
+        self, tmp_path, capsys, check, m_error, count, v_scale, m_scale, passed
+    ):
+        """Residuals are held to 1e-9 * max(1, s_v) and v_not to
+        1e-9 * max(1, s_v / s_M); the M_not error, which is unitless,
+        stays at 1e-9. Two words cannot pin M_not, at any scale."""
+        base = init_random([f"w{i}" for i in range(count)], SegmentLayout(1, 1, 1), 3, 0.1)
+        scaled = {e.token: replace(
+            e, v=SemanticVector(v_scale * e.v.values, base.layout),
+            M=FunctionMatrix(m_scale * e.M.entries, base.layout),
+        ) for e in base}
+        lex = tmp_path / "scaled.lex"
+        save(Lexicon(base.layout, scaled), lex)
+        assert run(["verify", check, "--lexicon", str(lex)]) == (0 if passed else 1)
+        report = dict(line.split(": ", 1) for line in lines_of(capsys))
+        assert report["verify result"] == ("PASS" if passed else "FAIL")
+        if passed:
+            assert float(report[f"verify {m_error}"]) < 1e-14
+        else:
+            assert float(report[f"verify {m_error}"]) == pytest.approx(0.92, abs=0.005)
 
     def test_failing_check_exits_one(self, tmp_path, capsys):
         # five words cannot pin down 72 unknowns: the value-only fit finds a

@@ -104,7 +104,7 @@ class TestComposeBaseline:
         ma, mb = a.M.entries, b.M.entries
         assert np.array_equal(p.v.values, ma @ b.v.values + mb @ a.v.values)
         assert np.array_equal(p.M.entries, ma + mb)
-        assert p.token == "(a b)"
+        assert p.token == "a b"
 
 
 class TestComposeImproved:
@@ -260,6 +260,36 @@ class TestComposeTree:
         tree = parse_bracketed("(S (N this) (N car) (N is))")
         with pytest.raises(TreeArityError):
             compose_tree(tree, sentence_lexicon, DEFAULT)
+
+
+class TestPhraseTokens:
+    """A composed entry's token is the phrase it covers: its leaf tokens,
+    left to right, joined by single spaces."""
+
+    SENTENCE = "(S (NP (Det this) (N car)) (VP (VBZ is) (RB not) (ADJP (JJ blue))))"
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_both_binarizations_give_the_phrase(self, sentence_lexicon, model):
+        tree = parse_bracketed(self.SENTENCE)
+        cfg = CompositionConfig(model=model)
+        right, left = (
+            compose_tree(binarize(tree, strategy), sentence_lexicon, cfg)
+            for strategy in ("right", "left")
+        )
+        assert right.token == left.token == "this car is not blue"
+        assert right.token == " ".join(tree.fringe())
+
+    def test_compose_pair_joins_composed_phrases(self, sentence_lexicon):
+        lex = sentence_lexicon
+        not_blue = compose_pair(lex["not"], lex["blue"], DEFAULT)
+        assert not_blue.token == "not blue"
+        assert compose_pair(lex["is"], not_blue, DEFAULT).token == "is not blue"
+        this_car = compose_pair(lex["this"], lex["car"], IMPROVED)
+        assert compose_pair(this_car, not_blue, IMPROVED).token == "this car not blue"
+
+    def test_a_leaf_root_is_the_lexicon_entry_itself(self, sentence_lexicon):
+        for tree in (ParseTree.leaf("N", "car"), binarize(parse_bracketed("(S (NP (N car)))"))):
+            assert compose_tree(tree, sentence_lexicon, DEFAULT) is sentence_lexicon["car"]
 
 
 class TestRootMatrixPropagation:
@@ -555,4 +585,4 @@ class TestDeepChain:
         assert np.array_equal(root.v.values, v)
         assert np.array_equal(root.M.entries, m)
         assert root.alpha == alpha
-        assert root.token == "(" + " (".join(tokens[:-1]) + " " + tokens[-1] + ")" * depth
+        assert root.token == " ".join(tokens)
