@@ -30,13 +30,16 @@ underlying derivation:
 
 Unknowns are ordered [vec(M_not) row-major, then v_not]. ``_solve`` finds
 the minimum-norm minimiser without forming the explicit design or the
-normal equations; ``FitResult.solver`` says whether it is unique.
+normal equations; ``FitResult.solver`` says whether it is unique. It holds
+each M_a once and folds the v_not system into one running triangle: O(S n^2)
+memory for S samples, plus the (rank, n, k) contraction with a v_not null
+space of dimension k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
@@ -117,10 +120,9 @@ def _stacked(entries) -> tuple[np.ndarray, np.ndarray]:
     return np.array([e.v.values for e in entries]), np.array([e.M.entries for e in entries])
 
 
-def _sample_faults(entries) -> np.ndarray:
-    """Per entry, the index into SAMPLE_FAULTS of what breaks its sample
-    assumptions (0: nothing), found in one pass over the stacked arrays."""
-    v, m = _stacked(entries)
+def _sample_faults(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per row of the stacked vectors ``v`` and matrices ``m``, the index
+    into SAMPLE_FAULTS of what breaks its sample assumptions (0: nothing)."""
     n = v.shape[1]
     zero_m, identity = ~m.reshape(-1, n * n).any(axis=1), (m == np.eye(n)).all(axis=(1, 2))
     return np.select([~v.any(axis=1), zero_m, identity], [1, 2, 3])
@@ -132,10 +134,13 @@ class SampleSet:
 
     Every entry must have a nonzero vector and a function matrix that is
     neither the zero matrix nor the identity, so the "varies and is
-    non-zero" assumption behind the derivation actually holds.
+    non-zero" assumption behind the derivation actually holds. ``v`` (S, n)
+    and ``m`` (S, n, n) stack the entries once, read-only, for the fits.
     """
 
     entries: tuple[LexicalEntry, ...]
+    v: np.ndarray = field(init=False, repr=False)
+    m: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -144,14 +149,17 @@ class SampleSet:
         layout = entries[0].layout
         # the first fault in order: a layout mismatch, or a fault before it
         same = next((i for i, e in enumerate(entries) if e.layout != layout), len(entries))
-        faults = _sample_faults(entries[:same])
+        v, m = _stacked(entries[:same])
+        faults = _sample_faults(v, m)
         if faults.any():
             first = int(np.argmax(faults != 0))
             raise ValueError(f"sample {entries[first].token!r} has {SAMPLE_FAULTS[faults[first]]}")
         if same < len(entries):
             b = entries[same]
             raise DimensionError(f"sample {b.token!r} has layout {b.layout}, expected {layout}")
-        object.__setattr__(self, "entries", entries)
+        v.flags.writeable = m.flags.writeable = False
+        for name, value in (("entries", entries), ("v", v), ("m", m)):
+            object.__setattr__(self, name, value)
 
     @property
     def layout(self) -> SegmentLayout:
@@ -167,8 +175,8 @@ class SampleSet:
         Entries violating the sample assumptions (zero vector, zero or
         identity matrix - e.g. function-word presets) are skipped.
         """
-        entries = tuple(lex)
-        picked = tuple(compress(entries, _sample_faults(entries) == 0)) if entries else ()
+        words = tuple(lex)
+        picked = tuple(compress(words, _sample_faults(*_stacked(words)) == 0 if words else ()))
         if not picked:
             raise ValueError("lexicon has no entries satisfying the sample assumptions")
         return cls(picked)
@@ -205,25 +213,6 @@ def _check_fit_inputs(samples: SampleSet, op: NegationOperator, op2: NegationOpe
         )
 
 
-def _value_triples(
-    samples: SampleSet, op: NegationOperator, op2: NegationOperator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked (w, M_a, t) of the value requirements M_not w + M_a v_not = t.
-
-    Each sample contributes its once-negated requirement (w = v_a,
-    t = J_mu v_a) and then its twice-negated one (w = J_mu v_a,
-    t = J_nu J_mu v_a), so triple r holds the r-th n-row block of the
-    value design. Shapes are (2S, n), (2S, n, n) and (2S, n).
-    """
-    v, m = _stacked(samples.entries)
-    once = negated(v, samples.layout, op)
-    twice = negated(once, samples.layout, op2)
-    n = v.shape[1]
-    w = np.stack([v, once], axis=1).reshape(-1, n)
-    t = np.stack([once, twice], axis=1).reshape(-1, n)
-    return w, np.repeat(m, 2, axis=0), t
-
-
 def _rank_svd(
     a: np.ndarray, scale: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -257,43 +246,49 @@ def _lstsq(ab: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
 def _solve(
     w: np.ndarray, ma: np.ndarray, t: np.ndarray, c: float
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The minimum-norm minimiser (M, v) of
-    sum_r |M w_r + M_a,r v - t_r|^2 + c |M|_F^2, and whether it is unique.
+    """The minimum-norm minimiser (M, v) of sum_{s,j} |M w[s, j] + ma[s] v
+    - t[s, j]|^2 + c |M|_F^2, and whether it is unique. A sample's once- and
+    twice-negated value rows w[s], t[s] share its M_a = ma[s], held once.
 
     Row i of M meets every row through the same matrix W = [w; sqrt(c) I]:
-    its rows are W m_i = [t[:, i] - M_a[:, i, :] v; 0]. With W = U S V^T
+    its rows are W m_i = [t[..., i] - M_a[:, i, :] v; 0]. With W = U S V^T
     cut to its rank, the best m_i for a given v is V S^-1 U^T of that
     right-hand side, zero along null(W). What it leaves is the part of
     the right-hand side outside the range of U: stacked over i, a
-    least-squares problem in v alone. Its cut is measured against |M_a|,
+    least-squares problem in v alone, folded by QR into one running
+    triangle. Its cut is measured against |M_a| over the 2S value rows,
     never against its own largest singular value, which can be rounding
     noise. Where it is rank-deficient, a step along its null space picks
     the v that minimises |M|_F^2 + |v|^2 jointly.
     """
-    k, n = w.shape
+    n, k = ma.shape[1], 2 * len(ma)
+    w = w.reshape(k, n)
     u, s, vt, w_null = _rank_svd(np.vstack([w, math.sqrt(c) * np.eye(n)]) if c else w)
-    # U^T [M_a[:, i, :] | t[:, i]] for every i, as [q, i, :]; what U leaves
-    # of each is reduced by QR to a triangle of the v_not system
-    xy = np.tensordot(u[:k], np.concatenate([ma, t[:, :, None]], axis=2), axes=(0, 0))
-    triangles = []
+    # U^T M_a[:, i, :] z is (u_pairs.T @ (ma @ z))[:, i], U^T t[..., i] is
+    # y[:, i]: a sample's two value rows meet the same M_a, so its rows of U add
+    u_pairs, y = u[:k:2] + u[1:k:2], u[:k].T @ t.reshape(k, n)
+    rows = [np.empty((0, n + 1))]  # the running triangle, then rows to fold in
     for i in range(n):
-        left = -u @ xy[:, i]
-        left[:k, :n] += ma[:, i]
-        left[:k, n] += t[:, i]
-        triangles.append(np.linalg.qr(left, mode="r"))
-    # |M_a| by einsum: np.linalg.norm calls BLAS dot, which OpenBLAS
-    # spreads over threads from 10^4 entries, a delay on a busy machine
-    v, v_null = _lstsq(np.vstack(triangles), math.sqrt(np.einsum("rij,rij->", ma, ma)))
-    x, y = xy[:, :, :n], xy[:, :, n]
+        # what U leaves of [M_a[:, i, :] | t[..., i]]
+        left = -u @ np.column_stack([u_pairs.T @ ma[:, i], y[:, i]])
+        value_rows = left[:k].reshape(-1, 2, n + 1)  # a view, by sample
+        value_rows[..., :n] += ma[:, i, None]
+        value_rows[..., n] += t[..., i]
+        # fold 16 triangles' rows at a time: refactoring the triangle adds 1/16
+        rows.append(left)
+        if len(rows) * len(left) >= 16 * (n + 1) or i == n - 1:
+            rows = [np.linalg.qr(np.vstack(rows), mode="r")]
+    # |M_a| over the 2S rows; einsum, as OpenBLAS threads np.linalg.norm's dot
+    v, v_null = _lstsq(rows[0], math.sqrt(2 * np.einsum("rij,rij->", ma, ma)))
     if v_null.shape[1]:
-        # |M|_F = |(y - x v) / s| = |e - d z| at v + v_null z, and v is
+        # |M|_F = |(y - U^T M_a v) / s| = |e - d z| at v + v_null z, and v is
         # orthogonal to v_null: minimise |e - d z|^2 + |z|^2
         k_null = v_null.shape[1]
-        d = (x @ v_null / s[:, None, None]).reshape(-1, k_null)
-        e = ((y - x @ v) / s[:, None]).reshape(-1, 1)
+        d = (u_pairs.T @ (ma @ v_null).reshape(len(ma), -1) / s[:, None]).reshape(-1, k_null)
+        e = ((y - u_pairs.T @ (ma @ v)) / s[:, None]).reshape(-1, 1)
         z, _ = _lstsq(np.vstack([np.hstack([d, e]), np.eye(k_null, k_null + 1)]), 1.0)
         v = v + v_null @ z
-    m = ((y - x @ v) / s[:, None]).T @ vt
+    m = ((y - u_pairs.T @ (ma @ v)) / s[:, None]).T @ vt
     return m, v, not (w_null.shape[1] or v_null.shape[1])
 
 
@@ -315,14 +310,18 @@ def _fit(
             FunctionMatrix.zeros(layout), SemanticVector.zeros(layout),
             None, 0.0, 0.0, 0.0, "closed-form",
         )
-    w, ma, t = _value_triples(samples, op, op2)
+    # the value requirements M_not w + M_a v_not = t of each sample, once
+    # negated (w = v_a, t = J_mu v_a) and twice (w = J_mu v_a, t = J_nu J_mu v_a)
+    once = negated(samples.v, layout, op)
+    w = np.stack([samples.v, once], axis=1)
+    t = np.stack([once, negated(once, layout, op2)], axis=1)
     c = 0.0 if constraints == "value" else 5.0 * len(samples)
     # Huge sample values overflow the solve, or residuals that are taken
     # scaled: that is reported only through the ValueError below.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            m, v, unique = _solve(w, ma, t, c)
-            res_value = scaled_norm(w @ m.T + ma @ v - t)
+            m, v, unique = _solve(w, samples.m, t, c)
+            res_value = scaled_norm(w @ m.T + (samples.m @ v)[:, None] - t)
             res_function = math.sqrt(c) * scaled_norm(m)
         except np.linalg.LinAlgError:
             res_value = res_function = math.nan

@@ -25,7 +25,6 @@ import numpy as np
 from .analysis import (
     SampleSet,
     _double_negation_rows,
-    _stacked,
     domain_similarity,
     fit_negation_baseline,
     fit_negation_improved,
@@ -49,7 +48,7 @@ from .treeio import binarize, parse_forest
 __all__ = ["run", "main"]
 
 # Fit results below FIT_TOL count as exact; contradiction residuals must
-# clear RESIDUAL_FLOOR, far above lstsq noise on these problem sizes.
+# clear RESIDUAL_FLOOR, far above lstsq noise; _fit_inputs scales both.
 FIT_TOL = 1e-9
 RESIDUAL_FLOOR = 1e-6
 SCOPE_TOL = 1e-12
@@ -155,15 +154,16 @@ def _fit_inputs(lex: Lexicon):
     samples = SampleSet.from_lexicon(lex)
     op = NegationOperator(lex.mu_default, lex.layout)
     head = [("samples", len(samples)), ("mu", float(lex.mu_default))]
-    # FIT_TOL in the samples' units, from their largest magnitudes s_v and
-    # s_m: residuals have the units of v, v_not those of v over M
-    s_v, s_m = (float(np.abs(x).max()) for x in _stacked(samples.entries))
+    # FIT_TOL and RESIDUAL_FLOOR in the samples' units, from their largest
+    # magnitudes s_v and s_m: residuals have v's units, v_not those of v over M
+    s_v, s_m = (float(np.abs(x).max()) for x in (samples.v, samples.m))
     tolerances = FIT_TOL * max(1.0, s_v), FIT_TOL * max(1.0, s_v / s_m)
-    return samples, op, make_negation_matrix(op).entries, head, *tolerances
+    floor = RESIDUAL_FLOOR * min(1.0, s_v)
+    return samples, op, make_negation_matrix(op).entries, head, *tolerances, floor
 
 
 def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
-    samples, op, j_mu, rows, residual_tol, v_tol = _fit_inputs(lex)
+    samples, op, j_mu, rows, residual_tol, v_tol, residual_floor = _fit_inputs(lex)
     joint = fit_negation_baseline(samples, op, op)
     value_only = fit_negation_baseline(samples, op, op, constraints="value")
     function_only = fit_negation_baseline(samples, op, op, constraints="function")
@@ -187,7 +187,7 @@ def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
         ("function_only.solver", function_only.solver),
     ]
     return rows, (
-        joint.residual_total > RESIDUAL_FLOOR
+        joint.residual_total > residual_floor
         and value_m_error <= FIT_TOL
         and value_v_error <= v_tol
         and value_only.residual_value <= residual_tol
@@ -197,7 +197,7 @@ def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
 
 
 def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
-    samples, op, j_mu, rows, residual_tol, v_tol = _fit_inputs(lex)
+    samples, op, j_mu, rows, residual_tol, v_tol, _ = _fit_inputs(lex)
     fit = fit_negation_improved(samples, op, op)
     m_error = scaled_norm(fit.M_not_hat.entries - j_mu)
     v_error = scaled_norm(fit.v_not_hat.values)

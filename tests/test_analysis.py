@@ -130,6 +130,16 @@ class TestSampleSet:
                 SampleSet(tuple(order))
             assert str(err.value) == f"sample {first.token!r} has {per_entry_fault(first)}"
 
+    def test_arrays_are_the_entries_stacked_and_read_only(self):
+        samples = spanning_samples(count=4)
+        assert samples.v.shape == (4, LAY211.n) and samples.m.shape == (4, LAY211.n, LAY211.n)
+        for row, entry in enumerate(samples.entries):
+            assert samples.v[row].tobytes() == entry.v.values.tobytes()
+            assert samples.m[row].tobytes() == entry.M.entries.tobytes()
+        for stacked in (samples.v, samples.m):
+            with pytest.raises(ValueError):
+                stacked[0] = 0.0
+
 
 def per_entry_fault(entry):
     """The sample assumptions checked one entry at a time."""
@@ -509,18 +519,23 @@ class TestBadlyScaledSamples:
                 )
 
 
-def test_value_fit_below_the_threshold_at_n64_stays_small():
-    layout = SegmentLayout(32, 16, 16)  # uniqueness threshold 49
-    samples = default_demo_samples(40, layout)
+@pytest.mark.parametrize("quarter, count, constraints, solver, bound", [
+    (16, 40, "value", "min-norm", 32e6),  # n = 64, below the uniqueness threshold 49
+    (32, 72, "both", "structured", 40e6),  # n = 128: each M_a once, one running triangle
+], ids=["value-n64", "joint-n128"])
+def test_fit_peak_memory_stays_small(quarter, count, constraints, solver, bound):
+    layout = SegmentLayout(2 * quarter, quarter, quarter)
+    samples = default_demo_samples(count, layout)
     op = NegationOperator(0.5, layout)
     tracemalloc.start()
     try:
-        fit = fit_negation_baseline(samples, op, op, constraints="value")
+        fit = fit_negation_baseline(samples, op, op, constraints)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fit.solver == "min-norm"
-    assert peak < 32e6
+    assert fit.solver == solver
+    assert peak < bound
+
 
 class TestImprovedFit:
     def test_exact_solution(self):

@@ -478,7 +478,10 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "count, v_scale, m_scale, passed",
-        [(6, 1e200, 1.0, True), (6, 2.0**400, 2.0**400, True), (2, 2.0**400, 2.0**400, False)],
+        [
+            (6, 1e200, 1.0, True), (6, 1e-200, 1.0, True),
+            (6, 2.0**400, 2.0**400, True), (2, 2.0**400, 2.0**400, False),
+        ],
     )
     @pytest.mark.parametrize("check, m_error", [
         ("contradiction", "value_only.m_error"), ("improved-fit", "m_error"),
@@ -486,9 +489,10 @@ class TestVerify:
     def test_fits_are_judged_in_the_samples_units(
         self, tmp_path, capsys, check, m_error, count, v_scale, m_scale, passed
     ):
-        """Residuals are held to 1e-9 * max(1, s_v) and v_not to
-        1e-9 * max(1, s_v / s_M); the M_not error, which is unitless,
-        stays at 1e-9. Two words cannot pin M_not, at any scale."""
+        """Residuals are held to 1e-9 * max(1, s_v), v_not to
+        1e-9 * max(1, s_v / s_M), and the joint residual must clear
+        1e-6 * min(1, s_v); the M_not error, which is unitless, stays at
+        1e-9. Two words cannot pin M_not, at any scale."""
         base = init_random([f"w{i}" for i in range(count)], SegmentLayout(1, 1, 1), 3, 0.1)
         scaled = {e.token: replace(
             e, v=SemanticVector(v_scale * e.v.values, base.layout),
