@@ -19,16 +19,19 @@ token does not depend on how the tree was binarized.
 
 Both public functions run one step kernel, ``_step``, on plain arrays.
 ``compose_pair`` wraps its result in a ``LexicalEntry``; ``compose_tree``
-evaluates a whole binary tree in one pass over its flat post-order arrays,
-calling the kernel once per internal node, and wraps only the root.
-Finiteness is tested apart from the step: ``compose_pair`` tests its
-parent, ``compose_tree`` only its root (see there why that is exact).
+evaluates a whole binary tree over its flat post-order arrays and wraps
+only the root. It runs each bottom level of at least ``WIDE`` nodes of
+equal height through the kernel as one stack, and the narrow top one node
+at a time. Finiteness is tested apart from the step: ``compose_pair``
+tests its parent, ``compose_tree`` only its root, and on a fault it runs
+the whole tree again one node at a time (see there why that is exact).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,6 +43,10 @@ from .treeio import ParseTree, _describe
 __all__ = ["CompositionConfig", "compose_pair", "compose_tree"]
 
 MODELS = ("baseline", "improved")
+# compose_tree runs a level of at least WIDE nodes of equal height as one
+# stacked step, CHUNK nodes at a time, which bounds the gathered copies.
+WIDE = 16
+CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -56,18 +63,23 @@ class CompositionConfig:
 def _step(va, ma, aa, vb, mb, ab, baseline: bool, where) -> tuple:
     """The composition step on plain arrays: the parent's (v, M, alpha).
 
-    ``where()`` names the step, only to word an error. Callers test the
-    parent with ``_check_finite`` and hold numpy's overflow warnings off."""
+    One node is v (n,), M (n, n) and float alphas. A stack of k nodes is
+    v (k, n, 1), M (k, n, n) and alphas (k, 1, 1), under the same rules,
+    bit for bit; a stack leaves a Z = 0 weight as NaN in M, for the
+    caller's finiteness test to find. ``where()`` names the step, only to
+    word an error. Callers test the parent with ``_check_finite`` and hold
+    numpy's overflow and invalid-value warnings off."""
     v = ma @ vb + mb @ va
+    one = ma.ndim == 2
     if baseline:
         m = ma + mb
     else:
         z = aa + ab
-        if z == 0.0:
+        if one and z == 0.0:
             raise DegenerateWeightsError(f"both alphas are zero at {where()}")
         weight_a = aa / z
         m = weight_a * ma + (1.0 - weight_a) * mb
-    return v, m, max(aa, ab)
+    return v, m, max(aa, ab) if one else np.maximum(aa, ab)
 
 
 def _check_finite(v, m, where) -> None:
@@ -106,18 +118,53 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
     )
 
 
+def _wide_levels(kids, lo: int, arity: bytes) -> tuple:
+    """The bottom levels, of at least ``WIDE`` nodes each, of the binary tree
+    whose nodes from lo on have the child counts ``arity``, 0 or 2 each.
+
+    Level h is the internal nodes of height h, as their indices (k,) and
+    their children's (k, 2); every child is a leaf or in a lower level.
+    Also returns the post-order in which the fold visits the rest: the
+    top's nodes and the leaves and level roots they take. Indices count
+    from lo."""
+    # in post-order, each node of height 1 is the run: leaf, leaf, node
+    if arity.count(b"\0\0\2") < WIDE:
+        return [], None
+    arity = np.frombuffer(arity, np.uint8)
+    inner = np.flatnonzero(arity)
+    pairs = np.fromiter(chain.from_iterable(kids[lo : lo + len(arity)]), np.intp, 2 * inner.size)
+    pairs = pairs.reshape(-1, 2) - lo
+    done = arity == 0  # nodes below the level being found
+    levels = []
+    while True:
+        up = done[pairs].all(axis=1)
+        if np.count_nonzero(up) < WIDE:
+            break
+        levels.append((inner[up], pairs[up]))
+        done[inner[up]] = True
+        inner, pairs = inner[~up], pairs[~up]
+    taken = pairs[done[pairs]]
+    return levels, np.sort(np.concatenate([inner, taken]))
+
+
 def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> LexicalEntry:
     """Evaluate a binary tree bottom-up, left to right.
 
     Leaves look up their lexicon entries; each internal node composes its
     two children. The tree must already be binary (see ``treeio.binarize``).
 
-    One loop over the post-order arrays keeps a stack of plain
-    (v, M, alpha) arrays: a leaf pushes its entry's arrays, an internal node
-    replaces its two children by the result of the step ``compose_pair``
-    runs, so the root is bit for bit the post-order fold of
-    ``compose_pair``, token for token. A leaf root is its lexicon entry,
-    any other a new ``LexicalEntry`` named ``" ".join(tree.fringe())``.
+    Nodes of equal height never depend on each other, and levels only
+    narrow going up. Each bottom level of at least ``WIDE`` nodes runs as
+    one stacked step, ``CHUNK`` nodes at a time, into one results array per
+    tree: the unique leaf entries, then the levels' nodes, about 8 n^2 bytes
+    per node (2.1 MB for a balanced 4096-leaf tree at n = 8). Chains and
+    trees of under 32 leaves have no such level. The narrow top is a loop
+    over the post-order arrays with a stack of plain (v, M, alpha) arrays: a
+    leaf or a level's root pushes its arrays, an internal node replaces its
+    two children by the step ``compose_pair`` runs. A stack of nodes gives
+    the same bits as one node, so the root is bit for bit the post-order
+    fold of ``compose_pair``, token for token. A leaf root is its lexicon
+    entry, any other a new ``LexicalEntry`` named ``" ".join(tree.fringe())``.
 
     Arity is checked first, over the whole tree: the first node in
     post-order with other than two children raises ``TreeArityError``
@@ -129,12 +176,18 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
 
     Finiteness is tested at the root only, which is exact: a NaN or inf in
     any node reaches the root, as the matrix rule is elementwise (``0 * inf``
-    is NaN) and ``M @ v`` skips only zero entries of v. On a non-finite root
-    or an error the loop runs again, testing every step, to raise the first fault.
+    is NaN) and ``M @ v`` skips only zero entries of v; a level leaves a
+    Z = 0 weight as NaN. On a non-finite root or an error the fold runs
+    again over every node, one at a time, testing each step, to raise the
+    first fault.
     """
     tags, tokens, kids = tree._tags, tree._tokens, tree._kids
     lo, hi = tree._first(), tree._i + 1
-    if not set(map(len, kids[lo:hi])) <= {0, 2}:
+    try:
+        arity = bytes(map(len, kids[lo:hi]))
+    except ValueError:  # a node of 256 or more children
+        arity = b"\xff"
+    if arity.translate(None, b"\0\2"):
         wide = next(j for j in range(lo, hi) if len(kids[j]) not in (0, 2))
         raise TreeArityError(
             f"node {tags[wide]!r} has {len(kids[wide])} children; "
@@ -142,13 +195,47 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
         )
     baseline = cfg.model == "baseline"
 
-    def fold(checked: bool) -> tuple:
+    def stacked() -> tuple:
+        """Run the wide levels; return the fold's order and the roots it pushes."""
+        levels, order = _wide_levels(kids, lo, arity)
+        if not levels:
+            return range(lo, hi), {}
+        leaf_rows = {t: r for r, t in enumerate(dict.fromkeys(filter(None, tokens[lo:hi])))}
+        # row[j]: the row of node lo + j in vs, ms and alphas, -1 for a top node
+        row = np.fromiter(map(leaf_rows.get, tokens[lo:hi], repeat(-1)), np.intp, hi - lo)
+        count = len(leaf_rows) + sum(len(nodes) for nodes, _ in levels)
+        n = lexicon.layout.n
+        vs, ms, alphas = np.empty((count, n, 1)), np.empty((count, n, n)), np.empty((count, 1, 1))
+        end = len(leaf_rows)
+        entries = [lexicon[token] for token in leaf_rows]
+        vs[:end, :, 0] = [entry.v.values for entry in entries]
+        ms[:end] = [entry.M.entries for entry in entries]
+        alphas[:end, 0, 0] = [entry.alpha for entry in entries]
+        for height, (nodes, pairs) in enumerate(levels, 1):
+            row[nodes] = range(end, end + len(nodes))
+            pairs = row[pairs]
+            for s in range(0, len(nodes), CHUNK):
+                a, b = pairs[s : s + CHUNK].T
+                out = slice(end + s, end + s + len(a))
+                vs[out], ms[out], alphas[out] = _step(
+                    vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline,
+                    lambda: f"{len(nodes)} nodes of height {height}",
+                )
+            end += len(nodes)
+        roots = {
+            j + lo: (vs[r, :, 0], ms[r], float(alphas[r, 0, 0]))
+            for j, r in zip(order, row[order])
+            if r >= len(leaf_rows)
+        }
+        return (order + lo).tolist(), roots
+
+    def fold(order, roots: dict, checked: bool) -> tuple:
         def where() -> str:  # reads the loop's j: the node being composed
             return _describe(tree, j)
 
         leaves: dict[str, tuple] = {}
         stack: list[tuple] = []
-        for j in range(lo, hi):
+        for j in order:
             token = tokens[j]
             if token is not None:
                 leaf = leaves.get(token)
@@ -156,6 +243,9 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
                     entry = lexicon[token]
                     leaf = leaves[token] = (entry.v.values, entry.M.entries, entry.alpha)
                 stack.append(leaf)
+                continue
+            if j in roots:
+                stack.append(roots[j])
                 continue
             vb, mb, ab = stack.pop()
             va, ma, aa = stack[-1]
@@ -166,12 +256,12 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            v, m, alpha = fold(checked=False)
+            v, m, alpha = fold(*stacked(), checked=False)
             _check_finite(v, m, lambda: _describe(tree, hi - 1))
         except (UnknownTokenError, ValueError):
             v = None
         if v is None:
-            fold(checked=True)  # raises the fold's first fault
+            fold(range(lo, hi), {}, checked=True)  # raises the fold's first fault
     if tokens[hi - 1] is not None:
         return lexicon[tokens[hi - 1]]
     layout = lexicon.layout

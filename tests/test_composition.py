@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tripsem import composition
@@ -40,6 +40,20 @@ def entry(token, values, matrix, alpha=1.0, layout=LAY211):
         FunctionMatrix(matrix, layout),
         alpha,
     )
+
+
+def balanced_text(subtrees) -> str:
+    """A balanced tree, its internal nodes tagged S, over a power-of-two
+    list of bracketed subtrees."""
+    while len(subtrees) > 1:
+        subtrees = [f"(S {a} {b})" for a, b in zip(subtrees[::2], subtrees[1::2])]
+    return subtrees[0]
+
+
+def wide_levels(tree) -> list:
+    """The levels ``compose_tree`` runs as stacked steps."""
+    lo, hi = tree._first(), tree._i + 1
+    return composition._wide_levels(tree._kids, lo, bytes(map(len, tree._kids[lo:hi])))[0]
 
 
 @pytest.fixture
@@ -183,6 +197,13 @@ def test_compose_pair_and_compose_tree_run_one_step(monkeypatch, not_and_blue):
         "node 'A' over leaves 1-2",
         "node 'S' over leaves 1-3",
     ]
+    # the two wide levels of a balanced 64-leaf tree, then its narrow top node by node
+    calls.clear()
+    compose_tree(parse_bracketed(balanced_text(["(W blue)"] * 64)), lex, IMPROVED)
+    assert calls[:2] == ["32 nodes of height 1", "16 nodes of height 2"]
+    assert len(calls) == 2 + 8 + 4 + 2 + 1
+    assert calls[2] == "node 'S' over leaves 1-8"
+    assert calls[-1] == "node 'S' over leaves 1-64"
 
 
 def test_compose_pair_dispatches_on_model(not_and_blue):
@@ -399,6 +420,60 @@ def trees(draw, tokens, wide, depth=0):
     return ParseTree.node(draw(st.sampled_from(["S", "NP", "VP"])), children)
 
 
+def wide_tree(shape: str, leaves: int, rng, tokens) -> ParseTree:
+    """A binary tree over ``leaves`` words drawn from ``tokens`` whose bottom
+    levels are wide: ``balanced``; ``random``, each node split at a uniform
+    point; or ``caterpillar``, a right-branching spine with a balanced rung
+    of 2, 4 or 8 leaves on each step, so that only the rungs' levels are wide."""
+    words = [str(token) for token in rng.choice(tokens, leaves)]
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return f"(W {words[lo]})"
+        mid = int(rng.integers(lo + 1, hi)) if shape == "random" else (lo + hi) // 2
+        return f"(S {build(lo, mid)} {build(mid, hi)})"
+
+    if shape != "caterpillar":
+        return parse_bracketed(build(0, leaves))
+    rung = 2 ** int(rng.integers(1, 4))
+    rungs = [build(lo, min(lo + rung, leaves)) for lo in range(0, leaves, rung)]
+    spine = "".join(f"(C {r} " for r in rungs[:-1]) + rungs[-1] + ")" * (len(rungs) - 1)
+    return parse_bracketed(spine)
+
+
+@st.composite
+def wide_trees(draw, tokens):
+    """Trees of 64 to 512 leaves with at least one wide level."""
+    tree = wide_tree(
+        draw(st.sampled_from(["balanced", "random", "caterpillar"])),
+        draw(st.integers(min_value=64, max_value=512)),
+        np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1))),
+        tokens,
+    )
+    assume(wide_levels(tree))
+    return tree
+
+
+@st.composite
+def tame_lexicons(draw):
+    """Two to five words with M near I / 2 and alpha > 0, on which every
+    tree from ``wide_trees`` composes to a finite root under both models."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    words = {}
+    for k in range(draw(st.integers(min_value=2, max_value=5))):
+        m = 0.5 * np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        alpha = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        words[f"w{k}"] = entry(f"w{k}", rng.uniform(-1.0, 1.0, 4), m, alpha)
+    return Lexicon(LAY211, words)
+
+
+def assert_same_root(got, want) -> None:
+    assert got.token == want.token
+    assert np.array_equal(got.v.values, want.v.values)
+    assert np.array_equal(got.M.entries, want.M.entries)
+    assert got.alpha == want.alpha
+
+
 class TestComposeTreeIsTheFold:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), lexicons(), st.sampled_from([DEFAULT, IMPROVED]))
@@ -426,6 +501,8 @@ class TestComposeTreeIsTheFold:
             ("(S (N car) (NP (N ghost) (N car) (N car)))", "NP"),
             # the first non-binary node in post-order, not the outermost
             ("(S (A (N ghost)) (N car) (N car))", "A"),
+            # more children than one byte counts
+            ("(S (N car) (V " + "(N car) " * 300 + "))", "V"),
         ],
     )
     def test_arity_is_checked_first(self, sentence_lexicon, text, wide):
@@ -433,6 +510,49 @@ class TestComposeTreeIsTheFold:
         for compose in (fold, compose_tree):
             with pytest.raises(TreeArityError, match=f"^node '{wide}' has "):
                 compose(tree, sentence_lexicon, DEFAULT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), lexicons(), st.sampled_from([DEFAULT, IMPROVED]))
+    def test_wide_trees_give_the_same_root_or_the_same_error(self, data, lexicon, cfg):
+        """Wide levels run as stacked steps; zero alphas and large scales
+        put Z = 0 pairs and overflows inside them."""
+        tokens = list(lexicon.entries) + data.draw(st.sampled_from([[], ["ghost"]]))
+        tree = data.draw(wide_trees(tokens))
+        got = outcome(compose_tree, tree, lexicon, cfg)
+        want = outcome(fold, tree, lexicon, cfg)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+        else:
+            assert_same_root(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), tame_lexicons())
+    def test_wide_trees_give_the_fold_root_bit_for_bit(self, data, lexicon):
+        tree = data.draw(wide_trees(list(lexicon.entries)))
+        for cfg in (DEFAULT, IMPROVED):
+            got = compose_tree(tree, lexicon, cfg)
+            assert np.isfinite(got.v.values).all()
+            assert_same_root(got, fold(tree, lexicon, cfg))
+
+    @pytest.mark.parametrize("layout", [SegmentLayout(4, 2, 2), SegmentLayout(16, 8, 8)])
+    @pytest.mark.parametrize("shape", ["balanced", "random", "caterpillar"])
+    def test_init_random_lexicons_give_the_fold_root_bit_for_bit(self, layout, shape):
+        words = [f"w{k:02d}" for k in range(40)]
+        lexicon = set_function_word(
+            init_random(words, layout, seed=5, noise=0.1), "not", "negation", mu=0.5
+        )
+        rng = np.random.default_rng(11)
+        tree = wide_tree(shape, 300, rng, words)
+        # one "not" leaf, at a drawn position
+        leaves = [j for j, token in enumerate(tree._tokens) if token is not None]
+        tokens = list(tree._tokens)
+        tokens[leaves[int(rng.integers(300))]] = "not"
+        tree = ParseTree(tree._tags, tuple(tokens), tree._kids, tree._i)
+        assert wide_levels(tree)
+        for cfg in (DEFAULT, IMPROVED):
+            got = compose_tree(tree, lexicon, cfg)
+            assert np.isfinite(got.v.values).all()
+            assert_same_root(got, fold(tree, lexicon, cfg))
 
     def test_overflow_names_the_first_node_in_post_order(self):
         big = entry("big", [1e300] * 4, 1e10 * np.eye(4))
@@ -445,6 +565,28 @@ class TestComposeTreeIsTheFold:
             "semantic vector entries are not finite after composing "
             "node 'C' over leaves 4-5"
         )
+
+
+def wide_text(cherries: dict, count: int = 32) -> str:
+    """A balanced tree over ``count`` pairs of ``one`` leaves, pair k
+    replaced by ``cherries[k]``: 2 * count leaves, with wide bottom levels."""
+    pairs = [cherries.get(k, "(S (W one) (W one))") for k in range(count)]
+    return balanced_text(pairs)
+
+
+# Faults inside wide levels: each pair below is in the bottom level.
+WIDE_ZERO = wide_text({2: "(B (W nil) (W nil))"})
+WIDE_OVERFLOW = wide_text({5: "(A (W big) (W big))"})
+WIDE_GHOST = wide_text({7: "(S (W one) (W ghost))"})
+# T, of height 2, overflows first in post-order and is in the narrow top:
+# the 32 leaves on the right hold 16 nodes of height 1 and 8 of height 2,
+# so with U and T only height 1, 17 nodes wide, is a wide level. A baseline
+# matrix overflow and a Z = 0 pair follow in that level.
+TOP_FIRST = (
+    "(R (T (W big) (U (W big) (W one))) "
+    + wide_text({3: "(B (W huge) (W huge))", 9: "(B (W nil) (W nil))"}, 16)
+    + ")"
+)
 
 
 class TestRootOnlyFiniteTest:
@@ -489,6 +631,14 @@ class TestRootOnlyFiniteTest:
              VECTOR, "'big' and 'big'", "node 'A' over leaves 1-2"),
             ("(S (B (W nil) (W nil)) (A (W big) (W big)))", ["improved"],
              DegenerateWeightsError, ZERO, "'nil' and 'nil'", "node 'B' over leaves 1-2"),
+            # wide trees, whose bottom levels run as stacked steps
+            (WIDE_ZERO, ["improved"], DegenerateWeightsError, ZERO, "'nil' and 'nil'",
+             "node 'B' over leaves 5-6"),
+            (WIDE_OVERFLOW, MODELS, ValueError, VECTOR, "'big' and 'big'",
+             "node 'A' over leaves 11-12"),
+            (WIDE_GHOST, MODELS, UnknownTokenError, GHOST, None, None),
+            (TOP_FIRST, MODELS, ValueError, VECTOR, "'big' and 'big one'",
+             "node 'T' over leaves 1-3"),
         ],
     )
     def test_same_error_at_the_same_step_as_the_fold(
@@ -502,6 +652,22 @@ class TestRootOnlyFiniteTest:
             assert type(got) is type(want) is kind
             assert str(want) == message.format(pair)
             assert str(got) == message.format(node)
+
+    @pytest.mark.parametrize(
+        "text, inside, outside",
+        [
+            (WIDE_ZERO, {"B"}, set()),
+            (WIDE_OVERFLOW, {"A"}, set()),
+            (WIDE_GHOST, {"S"}, set()),
+            (TOP_FIRST, {"B", "U"}, {"T", "R"}),
+        ],
+    )
+    def test_the_wide_faults_are_where_they_are_meant_to_be(self, text, inside, outside):
+        """Tags of nodes inside and outside the wide levels."""
+        tree = parse_bracketed(text)
+        levelled = {tree._tags[j] for nodes, _ in wide_levels(tree) for j in nodes}
+        assert inside <= levelled
+        assert not outside & levelled
 
     def test_near_overflow_matrices_stay_finite_under_improved(self, lexicon):
         """The improved matrix rule is a convex combination, so the pair
@@ -549,9 +715,11 @@ class TestRootOnlyFiniteTest:
 
         monkeypatch.setattr(composition, "_check_finite", counted)
         clean = parse_bracketed("(S (A (W one) (W big)) (B (W one) (W nil)))")
-        for cfg in (DEFAULT, IMPROVED):
-            compose_tree(clean, lexicon, cfg)
-        assert len(calls) == 2
+        wide = parse_bracketed(wide_text({k: "(A (W one) (W nil))" for k in range(0, 32, 3)}))
+        for tree in (clean, wide):
+            for cfg in (DEFAULT, IMPROVED):
+                compose_tree(tree, lexicon, cfg)
+        assert len(calls) == 4
         # a faulty tree: the root test, then the replay's steps up to the fault
         calls.clear()
         with pytest.raises(ValueError):

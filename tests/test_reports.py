@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REPORTS = ROOT / "tests" / "fixtures" / "reports"
 LEX = ["--lexicon", "tests/fixtures/demo.lex"]
 TREE = "tests/fixtures/figure3.tree"
+WIDE = "tests/fixtures/wide.tree"
 
 COMPOSE = ["compose", *LEX, "--tree", TREE]
 SIM = ["sim", *LEX, "--a", "blue", "--b", "not_blue"]
@@ -28,6 +29,8 @@ COMMANDS = {
     "compose_baseline_left": [*COMPOSE, "--model", "baseline", "--binarize", "left"],
     "compose_improved_right": [*COMPOSE, "--model", "improved", "--binarize", "right"],
     "compose_improved_left": [*COMPOSE, "--model", "improved", "--binarize", "left"],
+    "compose_baseline_wide": ["compose", *LEX, "--tree", WIDE, "--model", "baseline"],
+    "compose_improved_wide": ["compose", *LEX, "--tree", WIDE, "--model", "improved"],
     "verify_contradiction": ["verify", "contradiction", *LEX],
     "verify_improved_fit": ["verify", "improved-fit", *LEX],
     "verify_double_negation": ["verify", "double-negation", *LEX],

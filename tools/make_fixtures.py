@@ -8,6 +8,9 @@ Writes, under tests/fixtures/:
                   entry whose vector is negate(blue), used by the
                   similarity examples
 * figure3.tree    the example sentence tree, unbinarized
+* wide.tree       a balanced binary tree of 256 demo.lex words, one of
+                  them "not", whose wide bottom levels compose_tree runs
+                  as stacked steps
 
 The contradiction-bound fixture has its own generator,
 tools/contradiction_bound_oracle.py, and is not touched here.
@@ -33,6 +36,18 @@ FIXTURES = ROOT / "tests" / "fixtures"
 TREE = "(S (NP (Det this) (N car)) (VP (VBZ is) (RB not) (ADJP (JJ blue))))"
 
 WORDS = ["this", "car", "is", "blue", "red"] + [f"w{i:02d}" for i in range(45)]
+
+# WORDS over and over, with "not" in place of the "is" before the third "blue"
+WIDE_LEAVES = [WORDS[i % len(WORDS)] for i in range(256)]
+WIDE_LEAVES[102] = "not"
+
+
+def balanced(tokens) -> str:
+    """A balanced binary tree over ``tokens``."""
+    if len(tokens) == 1:
+        return f"(W {tokens[0]})"
+    half = len(tokens) // 2
+    return f"(S {balanced(tokens[:half])} {balanced(tokens[half:])})"
 
 
 def main():
@@ -63,6 +78,7 @@ def main():
     save(lex.with_entry(not_blue), lex_path)
 
     (FIXTURES / "figure3.tree").write_text(TREE + "\n", encoding="utf-8")
+    (FIXTURES / "wide.tree").write_text(balanced(WIDE_LEAVES) + "\n", encoding="utf-8")
     print(f"fixtures written under {FIXTURES}")
 
 
