@@ -180,6 +180,8 @@ def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
         ("value_only.m_error", value_m_error),
         ("value_only.v_error", value_v_error),
         ("value_only.residual", value_only.residual_value),
+        ("value_only.v_tolerance", v_tol),
+        ("value_only.residual_tolerance", residual_tol),
         ("function_only.m_error", function_m_error),
         ("function_only.residual", function_only.residual_function),
         ("joint.solver", joint.solver),
@@ -207,6 +209,8 @@ def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
         ("v_error", v_error),
         ("residual_total", fit.residual_total),
         ("tolerance", FIT_TOL),
+        ("v_tolerance", v_tol),
+        ("residual_tolerance", residual_tol),
         ("solver", fit.solver),
     ]
     return rows, (

@@ -147,6 +147,49 @@ def _wide_levels(kids, lo: int, arity: bytes) -> tuple:
     return levels, np.sort(np.concatenate([inner, taken]))
 
 
+def _plan(tree: ParseTree) -> tuple:
+    """What composing ``tree`` needs that no lexicon changes, as the tuple
+    (leaves, steps, order, roots, phrase): the unique leaf tokens, which
+    take the first rows of the results; each stacked step as
+    (out, a, b, where), the rows of its results and of their children; the
+    fold's order; the row of each level root that the fold pushes; and the
+    root's token. Raises ``TreeArityError`` unless every node has 0 or 2
+    children."""
+    tags, tokens, kids = tree._tags, tree._tokens, tree._kids
+    lo, hi = tree._first(), tree._i + 1
+    try:
+        arity = bytes(map(len, kids[lo:hi]))
+    except ValueError:  # a node of 256 or more children
+        arity = b"\xff"
+    if arity.translate(None, b"\0\2"):
+        wide = next(j for j in range(lo, hi) if len(kids[j]) not in (0, 2))
+        raise TreeArityError(
+            f"node {tags[wide]!r} has {len(kids[wide])} children; "
+            "composition needs a binary tree (binarize first)"
+        )
+    phrase = " ".join(filter(None, tokens[lo:hi]))  # tree.fringe(), without the tuple
+    levels, order = _wide_levels(kids, lo, arity)
+    if not levels:
+        return (), [], range(lo, hi), {}, phrase
+    leaf_rows = {t: r for r, t in enumerate(dict.fromkeys(filter(None, tokens[lo:hi])))}
+    # row[j]: the row of node lo + j in the results, -1 for a top node
+    row = np.fromiter(map(leaf_rows.get, tokens[lo:hi], repeat(-1)), np.intp, hi - lo)
+    steps, end = [], len(leaf_rows)
+    for height, (nodes, pairs) in enumerate(levels, 1):
+        row[nodes] = range(end, end + len(nodes))
+        a, b = row[pairs.T]  # contiguous, as are their chunks
+
+        def where(k=len(nodes), height=height) -> str:
+            return f"{k} nodes of height {height}"
+
+        for s in range(0, len(nodes), CHUNK):
+            ca, cb = a[s : s + CHUNK], b[s : s + CHUNK]
+            steps.append((slice(end + s, end + s + len(ca)), ca, cb, where))
+        end += len(nodes)
+    roots = {j + lo: r for j, r in zip(order.tolist(), row[order].tolist()) if r >= len(leaf_rows)}
+    return tuple(leaf_rows), steps, (order + lo).tolist(), roots, phrase
+
+
 def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> LexicalEntry:
     """Evaluate a binary tree bottom-up, left to right.
 
@@ -166,6 +209,14 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     fold of ``compose_pair``, token for token. A leaf root is its lexicon
     entry, any other a new ``LexicalEntry`` named ``" ".join(tree.fringe())``.
 
+    What does not depend on the lexicon (the arity check, the levels and
+    their rows, the unique leaves, the fold's order, the root's token) is
+    planned once per tree object by ``_plan`` and kept in the tree, once a
+    compose has succeeded; later calls on the same object, under either
+    model or another lexicon, only look up the leaves, run the steps and
+    fold the top. The plan of a balanced 4096-leaf tree of 6-letter words
+    holds about 115 KB: 65 KB of row indices and the 29 KB root token.
+
     Arity is checked first, over the whole tree: the first node in
     post-order with other than two children raises ``TreeArityError``
     before any lexicon lookup. The other errors are those of the fold, in
@@ -181,53 +232,27 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     again over every node, one at a time, testing each step, to raise the
     first fault.
     """
-    tags, tokens, kids = tree._tags, tree._tokens, tree._kids
-    lo, hi = tree._first(), tree._i + 1
-    try:
-        arity = bytes(map(len, kids[lo:hi]))
-    except ValueError:  # a node of 256 or more children
-        arity = b"\xff"
-    if arity.translate(None, b"\0\2"):
-        wide = next(j for j in range(lo, hi) if len(kids[j]) not in (0, 2))
-        raise TreeArityError(
-            f"node {tags[wide]!r} has {len(kids[wide])} children; "
-            "composition needs a binary tree (binarize first)"
-        )
+    plan = tree._plan or _plan(tree)
+    leaf_tokens, steps, order, roots, phrase = plan
+    tokens, hi = tree._tokens, tree._i + 1
     baseline = cfg.model == "baseline"
 
-    def stacked() -> tuple:
-        """Run the wide levels; return the fold's order and the roots it pushes."""
-        levels, order = _wide_levels(kids, lo, arity)
-        if not levels:
-            return range(lo, hi), {}
-        leaf_rows = {t: r for r, t in enumerate(dict.fromkeys(filter(None, tokens[lo:hi])))}
-        # row[j]: the row of node lo + j in vs, ms and alphas, -1 for a top node
-        row = np.fromiter(map(leaf_rows.get, tokens[lo:hi], repeat(-1)), np.intp, hi - lo)
-        count = len(leaf_rows) + sum(len(nodes) for nodes, _ in levels)
-        n = lexicon.layout.n
-        vs, ms, alphas = np.empty((count, n, 1)), np.empty((count, n, n)), np.empty((count, 1, 1))
-        end = len(leaf_rows)
-        entries = [lexicon[token] for token in leaf_rows]
+    def stacked() -> dict:
+        """Run the stacked steps; return the level roots the fold pushes."""
+        if not steps:
+            return {}
+        n, rows = lexicon.layout.n, steps[-1][0].stop
+        vs, ms, alphas = np.empty((rows, n, 1)), np.empty((rows, n, n)), np.empty((rows, 1, 1))
+        end = len(leaf_tokens)
+        entries = [lexicon[token] for token in leaf_tokens]
         vs[:end, :, 0] = [entry.v.values for entry in entries]
         ms[:end] = [entry.M.entries for entry in entries]
         alphas[:end, 0, 0] = [entry.alpha for entry in entries]
-        for height, (nodes, pairs) in enumerate(levels, 1):
-            row[nodes] = range(end, end + len(nodes))
-            pairs = row[pairs]
-            for s in range(0, len(nodes), CHUNK):
-                a, b = pairs[s : s + CHUNK].T
-                out = slice(end + s, end + s + len(a))
-                vs[out], ms[out], alphas[out] = _step(
-                    vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline,
-                    lambda: f"{len(nodes)} nodes of height {height}",
-                )
-            end += len(nodes)
-        roots = {
-            j + lo: (vs[r, :, 0], ms[r], float(alphas[r, 0, 0]))
-            for j, r in zip(order, row[order])
-            if r >= len(leaf_rows)
-        }
-        return (order + lo).tolist(), roots
+        for out, a, b, where in steps:
+            vs[out], ms[out], alphas[out] = _step(
+                vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline, where
+            )
+        return {j: (vs[r, :, 0], ms[r], float(alphas[r, 0, 0])) for j, r in roots.items()}
 
     def fold(order, roots: dict, checked: bool) -> tuple:
         def where() -> str:  # reads the loop's j: the node being composed
@@ -256,18 +281,14 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            v, m, alpha = fold(*stacked(), checked=False)
+            v, m, alpha = fold(order, stacked(), checked=False)
             _check_finite(v, m, lambda: _describe(tree, hi - 1))
         except (UnknownTokenError, ValueError):
             v = None
         if v is None:
-            fold(range(lo, hi), {}, checked=True)  # raises the fold's first fault
+            fold(range(tree._first(), hi), {}, checked=True)  # raises the fold's first fault
+    tree._plan = plan
     if tokens[hi - 1] is not None:
         return lexicon[tokens[hi - 1]]
     layout = lexicon.layout
-    return LexicalEntry(
-        " ".join(filter(None, tokens[lo:hi])),  # tree.fringe(), without building the tuple
-        SemanticVector(v, layout),
-        FunctionMatrix(m, layout),
-        alpha,
-    )
+    return LexicalEntry(phrase, SemanticVector(v, layout), FunctionMatrix(m, layout), alpha)

@@ -28,10 +28,10 @@ from .errors import TreeParseError
 
 __all__ = ["ParseTree", "parse_bracketed", "parse_forest", "format_tree", "binarize"]
 
-# Tags and tokens are any run of characters other than whitespace and parens,
-# so the text between two matches is whitespace only. A well-formed leaf is
-# one match, (tag, token, ""); any other match is ("", "", text).
-_TOKEN = re.compile(r"\(\s*([^\s()]+)\s+([^\s()]+)\s*\)|([()]|[^\s()]+)")
+# Tags and tokens are any run of characters other than whitespace and
+# parens. str.split and re's \s split on the same Unicode whitespace, so
+# _TOKEN finds in the text the tokens that _parse splits off.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _check_word(word, what: str) -> None:
@@ -46,10 +46,11 @@ class ParseTree:
     trees with ``parse_bracketed``, ``ParseTree.leaf`` and ``ParseTree.node``.
     """
 
-    __slots__ = ("_tags", "_tokens", "_kids", "_i")
+    __slots__ = ("_tags", "_tokens", "_kids", "_i", "_plan")
 
     def __init__(self, tags: tuple, tokens: tuple, kids: tuple, index: int):
         self._tags, self._tokens, self._kids, self._i = tags, tokens, kids, index
+        self._plan = None  # composition's plan of this tree; see compose_tree
 
     @classmethod
     def leaf(cls, tag: str, token: str) -> "ParseTree":
@@ -154,56 +155,58 @@ def parse_bracketed(text: str) -> ParseTree:
 
 
 def _parse(text: str, pos: int, endpos: int) -> ParseTree:
-    """``parse_bracketed`` of ``text[pos:endpos]``, offsets counted in ``text``."""
+    """``parse_bracketed`` of ``text[pos:endpos]``, offsets counted in ``text``.
+
+    One loop over the tokens; a well-formed leaf ``( TAG tok )`` is taken
+    in one step, and the k-th token of an error is found again by ``_error``."""
     span = (text, pos, endpos)
-    matches = _TOKEN.findall(*span)
-    if not matches or not (matches[0][1] or matches[0][2] == "("):
+    toks = text[pos:endpos].replace("(", " ( ").replace(")", " ) ").split()
+    if not toks or toks[0] != "(":
         raise _error(span, "expected '('", 0)
     tags, tokens, kids = [], [], []
-    # One (tag, child node indices, bare token match indices) per open node.
+    # One (tag, child node indices, bare token indices) per open node.
     open_nodes: list[tuple[str, list[int], list[int]]] = []
-    want_tag = False
-    for i, (tag, token, tok) in enumerate(matches):
-        if want_tag:
-            if token or tok in ("(", ")"):
-                raise _error(span, "missing tag after '('", i)
-            open_nodes.append((tok, [], []))
-            want_tag = False
-            continue
-        if token:
-            tags.append(tag)
-            tokens.append(token)
-            kids.append(())
-        elif tok == "(":
-            want_tag = True
-            continue
+    count, i = len(toks), 0
+    while i < count:
+        tok = toks[i]
+        if tok == "(":
+            # a token containing a paren is one paren, so `in "()"` tests for one
+            if i + 1 == count or toks[i + 1] in "()":
+                raise _error(span, "missing tag after '('", i + 1)
+            if i + 3 < count and toks[i + 3] == ")" and toks[i + 2] not in "()":
+                tags.append(toks[i + 1])
+                tokens.append(toks[i + 2])
+                kids.append(())
+                i += 4
+            else:
+                open_nodes.append((toks[i + 1], [], []))
+                i += 2
+                continue
         elif tok == ")":
+            # a node of one bare token is a leaf, which the branch above took
             tag, children, bare = open_nodes.pop()
             if children and bare:
                 raise _error(span, "node mixes bare tokens with subtrees", bare[0], end=True)
             if bare:
-                if len(bare) > 1:
-                    raise _error(span, "leaf has more than one token", bare[1], end=True)
-                tokens.append(matches[bare[0]][2])
-            elif children:
-                tokens.append(None)
-            else:
+                raise _error(span, "leaf has more than one token", bare[1], end=True)
+            if not children:
                 raise _error(span, "empty node", i, end=True)
             tags.append(tag)
+            tokens.append(None)
             kids.append(tuple(children))
+            i += 1
         else:
             open_nodes[-1][2].append(i)
+            i += 1
             continue
         # node len(tags) - 1 is complete
         if not open_nodes:
             break
         open_nodes[-1][1].append(len(tags) - 1)
     else:
-        if want_tag:
-            raise _error(span, "missing tag after '('", len(matches))
-        raise _error(span, "unbalanced brackets: unexpected end of input", len(matches))
-    if i + 1 < len(matches):
-        raise _error(span, "trailing content after tree", i + 1)
+        raise _error(span, "unbalanced brackets: unexpected end of input", count)
+    if i < count:
+        raise _error(span, "trailing content after tree", i)
     return ParseTree(tuple(tags), tuple(tokens), tuple(kids), len(tags) - 1)
 
 

@@ -9,8 +9,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tripsem.analysis import SampleSet
 from tripsem.cli import build_parser, run
 from tripsem.core import FunctionMatrix, SegmentLayout, SemanticVector
 from tripsem.lexicon import Lexicon, init_random, load, save
@@ -507,6 +509,28 @@ class TestVerify:
             assert float(report[f"verify {m_error}"]) < 1e-14
         else:
             assert float(report[f"verify {m_error}"]) == pytest.approx(0.92, abs=0.005)
+
+    @pytest.mark.parametrize("check, prefix, residual", [
+        ("contradiction", "value_only.", "value_only.residual"),
+        ("improved-fit", "", "residual_total"),
+    ])
+    def test_reports_print_the_scaled_tolerances(self, tmp_path, capsys, check, prefix, residual):
+        """With vectors scaled by 1e200, v_error is far above the 1e-9 base
+        and within the printed v tolerance, 1e-9 * s_v / s_M; the residual
+        is within the printed 1e-9 * s_v."""
+        base = init_random([f"w{i}" for i in range(6)], SegmentLayout(1, 1, 1), 3, 0.1)
+        scaled = {e.token: replace(e, v=SemanticVector(1e200 * e.v.values, base.layout))
+                  for e in base}
+        lex = Lexicon(base.layout, scaled)
+        save(lex, tmp_path / "scaled.lex")
+        assert run(["verify", check, "--lexicon", str(tmp_path / "scaled.lex")]) == 0
+        report = dict(line.removeprefix("verify ").split(": ", 1) for line in lines_of(capsys))
+        samples = SampleSet.from_lexicon(lex)
+        s_v, s_m = (float(np.abs(x).max()) for x in (samples.v, samples.m))
+        assert float(report[prefix + "v_tolerance"]) == 1e-9 * (s_v / s_m)
+        assert float(report[prefix + "residual_tolerance"]) == 1e-9 * s_v
+        assert 1e-9 < float(report[prefix + "v_error"]) <= 1e-9 * (s_v / s_m)
+        assert float(report[residual]) <= 1e-9 * s_v
 
     def test_failing_check_exits_one(self, tmp_path, capsys):
         # five words cannot pin down 72 unknowns: the value-only fit finds a

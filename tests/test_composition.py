@@ -25,7 +25,7 @@ from tripsem.errors import (
     UnknownTokenError,
 )
 from tripsem.lexicon import Lexicon, init_random, set_function_word
-from tripsem.treeio import ParseTree, binarize, parse_bracketed
+from tripsem.treeio import ParseTree, binarize, format_tree, parse_bracketed
 
 LAY211 = SegmentLayout(2, 1, 1)
 DEFAULT = CompositionConfig()
@@ -725,6 +725,86 @@ class TestRootOnlyFiniteTest:
         with pytest.raises(ValueError):
             compose_tree(parse_bracketed("(S (W one) (A (W big) (W big)))"), lexicon, DEFAULT)
         assert len(calls) == 2
+
+
+def plan_lexicons(words, seeds=(5, 6)) -> list:
+    """One lexicon per seed over ``words`` and ``not``: the same tokens,
+    other values."""
+    return [
+        set_function_word(
+            init_random(words, SegmentLayout(4, 2, 2), seed=seed, noise=0.1),
+            "not", "negation", mu=0.5,
+        )
+        for seed in seeds
+    ]
+
+
+def plan_texts() -> list:
+    """A sentence, too narrow to batch, and three wide trees."""
+    rng = np.random.default_rng(17)
+    words = [f"w{k:02d}" for k in range(30)]
+    texts = ["(S (W w00) (VP (W not) (W w01)))"]
+    for shape in ("balanced", "random", "caterpillar"):
+        texts.append(format_tree(wide_tree(shape, 200, rng, words)))
+    return texts
+
+
+class TestPlan:
+    """``compose_tree`` plans a tree once per object and keeps the plan;
+    every later compose of that object must give what a fresh parse of
+    the same text gives, bit for bit."""
+
+    WORDS = [f"w{k:02d}" for k in range(30)]
+
+    @pytest.mark.parametrize("text", plan_texts())
+    def test_a_kept_plan_gives_the_roots_of_a_fresh_tree(self, text):
+        tree = parse_bracketed(text)
+        assert tree._plan is None
+        plan = None
+        for lexicon in plan_lexicons(self.WORDS):
+            for cfg in (DEFAULT, IMPROVED):
+                got = compose_tree(tree, lexicon, cfg)
+                plan = plan or tree._plan
+                assert tree._plan is plan is not None  # planned once, then kept
+                assert_same_root(got, compose_tree(parse_bracketed(text), lexicon, cfg))
+                assert_same_root(got, fold(tree, lexicon, cfg))
+        fresh = parse_bracketed(text)
+        assert fresh == tree and hash(fresh) == hash(tree)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_an_unknown_token_keeps_no_plan(self, wide):
+        text = WIDE_GHOST if wide else "(S (W one) (A (W ghost) (W one)))"
+        one = entry("one", [1.0] * 4, np.eye(4))
+        lexicon = Lexicon(LAY211, {"one": one})
+        tree = parse_bracketed(text)
+        for _ in range(2):
+            with pytest.raises(UnknownTokenError, match="^token 'ghost' is not in the lexicon$"):
+                compose_tree(tree, lexicon, DEFAULT)
+            assert tree._plan is None
+        lexicon = lexicon.with_entry(entry("ghost", [2.0] * 4, 0.5 * np.eye(4)))
+        for cfg in (DEFAULT, IMPROVED):
+            got = compose_tree(tree, lexicon, cfg)
+            assert tree._plan is not None
+            assert_same_root(got, fold(parse_bracketed(text), lexicon, cfg))
+
+    def test_a_non_binary_tree_keeps_no_plan(self, sentence_lexicon):
+        tree = parse_bracketed("(S (N car) (VP (N is) (N not) (N blue)))")
+        for _ in range(2):
+            with pytest.raises(TreeArityError, match="^node 'VP' has 3 children"):
+                compose_tree(tree, sentence_lexicon, DEFAULT)
+            assert tree._plan is None
+
+    @pytest.mark.parametrize("text", plan_texts()[1:])
+    def test_a_child_view_composes_to_its_own_root(self, text):
+        tree = parse_bracketed(text)
+        lexicon = plan_lexicons(self.WORDS)[0]
+        for cfg in (DEFAULT, IMPROVED):
+            compose_tree(tree, lexicon, cfg)
+            for child in (*tree.children, *tree.children[0].children):
+                got = compose_tree(child, lexicon, cfg)
+                want = compose_tree(parse_bracketed(format_tree(child)), lexicon, cfg)
+                assert_same_root(got, want)
+                assert_same_root(got, fold(child, lexicon, cfg))
 
 
 class TestDeepChain:

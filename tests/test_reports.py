@@ -20,6 +20,8 @@ REPORTS = ROOT / "tests" / "fixtures" / "reports"
 LEX = ["--lexicon", "tests/fixtures/demo.lex"]
 TREE = "tests/fixtures/figure3.tree"
 WIDE = "tests/fixtures/wide.tree"
+# figure3.tree spaced with tabs, CRLF and U+3000: the same report bar its tree line
+SPACED = "tests/fixtures/spaced.tree"
 
 COMPOSE = ["compose", *LEX, "--tree", TREE]
 SIM = ["sim", *LEX, "--a", "blue", "--b", "not_blue"]
@@ -31,6 +33,8 @@ COMMANDS = {
     "compose_improved_left": [*COMPOSE, "--model", "improved", "--binarize", "left"],
     "compose_baseline_wide": ["compose", *LEX, "--tree", WIDE, "--model", "baseline"],
     "compose_improved_wide": ["compose", *LEX, "--tree", WIDE, "--model", "improved"],
+    "compose_baseline_spaced": ["compose", *LEX, "--tree", SPACED, "--model", "baseline"],
+    "compose_improved_spaced": ["compose", *LEX, "--tree", SPACED, "--model", "improved"],
     "verify_contradiction": ["verify", "contradiction", *LEX],
     "verify_improved_fit": ["verify", "improved-fit", *LEX],
     "verify_double_negation": ["verify", "double-negation", *LEX],

@@ -20,6 +20,15 @@ PARSE_ERRORS = [
     ("(S (B b) a c)", "node mixes bare tokens with subtrees", 10),
     ("(S (A a)\n (B b c))", "leaf has more than one token", 16),
     ("(S (A a)(B b))(C c)", "trailing content after tree", 14),
+    # the faulty token next to whitespace other than ASCII space and newline
+    ("\u3000x(S a)", "expected '('", 1),
+    ("(\xa0\u3000(S a))", "missing tag after '('", 3),
+    ("(\u2003", "missing tag after '('", 2),
+    ("(S\u3000(A a)\xa0(B\x85))", "empty node", 13),
+    ("(S\t(A a)\u3000x)", "node mixes bare tokens with subtrees", 10),
+    ("(JJ\xa0blue\x85red)", "leaf has more than one token", 12),
+    ("(S (A a)\r\n\u3000(B", "unbalanced brackets: unexpected end of input", 13),
+    ("(S a)\x1c(B b)", "trailing content after tree", 6),
 ]
 
 
@@ -212,6 +221,36 @@ class TestBinarizeProperties:
     @given(random_trees())
     def test_round_trips_through_text(self, tree):
         assert parse_bracketed(format_tree(tree)) == tree
+
+
+# Whitespace that str.split and re's \s both split on, beyond ASCII space
+WHITESPACE = [" ", "\t", "\r\n", "\x1c", "\x85", "\xa0", "\u3000"]
+
+
+def whitespace(min_size: int = 0):
+    return st.lists(st.sampled_from(WHITESPACE), min_size=min_size, max_size=3).map("".join)
+
+
+def text_tokens(tree) -> list:
+    """The parens, tags and tokens of ``tree``'s bracketed text, in order."""
+    if tree.is_leaf:
+        return ["(", tree.tag, tree.token, ")"]
+    return ["(", tree.tag, *(t for child in tree.children for t in text_tokens(child)), ")"]
+
+
+class TestWhitespaceProperties:
+    @given(random_trees(), st.data())
+    def test_any_whitespace_parses_to_the_built_tree(self, tree, data):
+        """A tree built with ParseTree.node and .leaf, printed with a random
+        run of whitespace between any two tokens (at least one character
+        between two words) and around the whole, parses back equal."""
+        tokens = text_tokens(tree)
+        text = data.draw(whitespace()) + tokens[0]
+        for before, token in zip(tokens, tokens[1:]):
+            words = before not in "()" and token not in "()"
+            text += data.draw(whitespace(min_size=1 if words else 0)) + token
+        text += data.draw(whitespace())
+        assert parse_bracketed(text) == tree
 
 
 class TestDeepTrees:

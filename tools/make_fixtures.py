@@ -11,16 +11,27 @@ Writes, under tests/fixtures/:
 * wide.tree       a balanced binary tree of 256 demo.lex words, one of
                   them "not", whose wide bottom levels compose_tree runs
                   as stacked steps
+* spaced.tree     figure3.tree spaced with tabs, CRLF line breaks and
+                  ideographic spaces (U+3000); it composes as figure3.tree
+
+With --reports it writes instead, under tests/fixtures/reports/, the
+golden copy of every CLI report that tests/test_reports.py compares
+(its COMMANDS, run from the repository root; this needs pytest). Floats
+in them may move in the last digits on another CPU, which that test
+allows, so the default run leaves them alone.
 
 The contradiction-bound fixture has its own generator,
 tools/contradiction_bound_oracle.py, and is not touched here.
 
-Run from the repository root:  python3 tools/make_fixtures.py
+Run from the repository root:  python3 tools/make_fixtures.py [--reports]
 
 The package is imported from src/ of this checkout, which goes first on
 sys.path, so the script needs no install and never reads another copy.
 """
 
+import contextlib
+import io
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +52,12 @@ WORDS = ["this", "car", "is", "blue", "red"] + [f"w{i:02d}" for i in range(45)]
 WIDE_LEAVES = [WORDS[i % len(WORDS)] for i in range(256)]
 WIDE_LEAVES[102] = "not"
 
+SPACED = (
+    "(S\t(NP (Det this)\u3000(N car))\r\n"
+    "\t(VP\u3000(VBZ\tis) (RB not)\r\n"
+    "\u3000\u3000(ADJP (JJ\u3000blue))))\r\n"
+)
+
 
 def balanced(tokens) -> str:
     """A balanced binary tree over ``tokens``."""
@@ -50,7 +67,27 @@ def balanced(tokens) -> str:
     return f"(S {balanced(tokens[:half])} {balanced(tokens[half:])})"
 
 
+def write_reports():
+    """Each report golden, as the CLI prints it from the repository root."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_reports import COMMANDS, REPORTS
+
+    os.chdir(ROOT)
+    for name, argv in COMMANDS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = run(argv)
+        if status != 0:
+            raise SystemExit(f"{name}: tripsem exited with status {status}")
+        (REPORTS / f"{name}.txt").write_text(out.getvalue(), encoding="utf-8")
+    print(f"{len(COMMANDS)} reports written under {REPORTS}")
+
+
 def main():
+    if sys.argv[1:] == ["--reports"]:
+        return write_reports()
+    if sys.argv[1:]:
+        raise SystemExit("usage: python3 tools/make_fixtures.py [--reports]")
     FIXTURES.mkdir(parents=True, exist_ok=True)
     words_path = FIXTURES / "words.txt"
     words_path.write_text(
@@ -79,6 +116,8 @@ def main():
 
     (FIXTURES / "figure3.tree").write_text(TREE + "\n", encoding="utf-8")
     (FIXTURES / "wide.tree").write_text(balanced(WIDE_LEAVES) + "\n", encoding="utf-8")
+    # newline="" writes the CRLFs as they are on every platform
+    (FIXTURES / "spaced.tree").write_text(SPACED, encoding="utf-8", newline="")
     print(f"fixtures written under {FIXTURES}")
 
 
