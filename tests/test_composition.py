@@ -727,12 +727,15 @@ class TestRootOnlyFiniteTest:
         assert len(calls) == 2
 
 
-def plan_lexicons(words, seeds=(5, 6)) -> list:
-    """One lexicon per seed over ``words`` and ``not``: the same tokens,
-    other values."""
+PLAN_WORDS = [f"w{k:02d}" for k in range(30)]
+
+
+def plan_lexicons(seeds=(5, 6)) -> list:
+    """One lexicon per seed over ``PLAN_WORDS`` and ``not``: the same
+    tokens, other values."""
     return [
         set_function_word(
-            init_random(words, SegmentLayout(4, 2, 2), seed=seed, noise=0.1),
+            init_random(PLAN_WORDS, SegmentLayout(4, 2, 2), seed=seed, noise=0.1),
             "not", "negation", mu=0.5,
         )
         for seed in seeds
@@ -742,10 +745,9 @@ def plan_lexicons(words, seeds=(5, 6)) -> list:
 def plan_texts() -> list:
     """A sentence, too narrow to batch, and three wide trees."""
     rng = np.random.default_rng(17)
-    words = [f"w{k:02d}" for k in range(30)]
     texts = ["(S (W w00) (VP (W not) (W w01)))"]
     for shape in ("balanced", "random", "caterpillar"):
-        texts.append(format_tree(wide_tree(shape, 200, rng, words)))
+        texts.append(format_tree(wide_tree(shape, 200, rng, PLAN_WORDS)))
     return texts
 
 
@@ -754,14 +756,12 @@ class TestPlan:
     every later compose of that object must give what a fresh parse of
     the same text gives, bit for bit."""
 
-    WORDS = [f"w{k:02d}" for k in range(30)]
-
     @pytest.mark.parametrize("text", plan_texts())
     def test_a_kept_plan_gives_the_roots_of_a_fresh_tree(self, text):
         tree = parse_bracketed(text)
         assert tree._plan is None
         plan = None
-        for lexicon in plan_lexicons(self.WORDS):
+        for lexicon in plan_lexicons():
             for cfg in (DEFAULT, IMPROVED):
                 got = compose_tree(tree, lexicon, cfg)
                 plan = plan or tree._plan
@@ -797,7 +797,7 @@ class TestPlan:
     @pytest.mark.parametrize("text", plan_texts()[1:])
     def test_a_child_view_composes_to_its_own_root(self, text):
         tree = parse_bracketed(text)
-        lexicon = plan_lexicons(self.WORDS)[0]
+        lexicon = plan_lexicons()[0]
         for cfg in (DEFAULT, IMPROVED):
             compose_tree(tree, lexicon, cfg)
             for child in (*tree.children, *tree.children[0].children):
