@@ -177,6 +177,7 @@ def _verify_contradiction(lex: Lexicon, args) -> tuple[list, bool]:
         ("residual_function", joint.residual_function),
         ("residual_total", joint.residual_total),
         ("residual_floor", RESIDUAL_FLOOR),
+        ("joint.residual_floor", residual_floor),
         ("value_only.m_error", value_m_error),
         ("value_only.v_error", value_v_error),
         ("value_only.residual", value_only.residual_value),

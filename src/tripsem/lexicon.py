@@ -194,7 +194,8 @@ def _read_entries(body: list[list[str]], layout: SegmentLayout) -> dict | None:
     """The entries of the rows after the layout line, or None if any is
     faulty. Once every row's keyword and count are checked, one ``float``
     pass reads all numbers into a (W, 1 + n + n*n) table of each word's
-    alpha, v and M, checked with one ``isfinite``."""
+    alpha, v and M; the entries check their own values, and a repeated
+    word leaves fewer entries than words."""
     n, width = layout.n, 1 + layout.n + layout.n**2
     count = len(body) // (n + 2)
     block = [("word", 3), ("v", n + 1), *[("m", n + 1)] * n] if count else []
@@ -204,17 +205,46 @@ def _read_entries(body: list[list[str]], layout: SegmentLayout) -> dict | None:
     numbers = chain.from_iterable(parts[2:] if parts[0] == "word" else parts[1:] for parts in body)
     try:
         table = np.fromiter(map(float, numbers), float, count * width).reshape(count, width)
+        entries = {
+            token: LexicalEntry(
+                token, SemanticVector(row[1 : n + 1], layout),
+                FunctionMatrix(row[n + 1 :].reshape(n, n), layout), float(row[0]),
+            )
+            for token, row in zip(tokens, table)
+        }
     except ValueError:
         return None
-    if len(set(tokens)) < count or not (np.isfinite(table).all() and (table[:, 0] >= 0).all()):
-        return None
-    return {
-        token: LexicalEntry(
-            token, SemanticVector(row[1 : n + 1], layout),
-            FunctionMatrix(row[n + 1 :].reshape(n, n), layout), float(row[0]),
-        )
-        for token, row in zip(tokens, table)
-    }
+    return entries if len(entries) == count else None
+
+
+def _row(rows: list, i: int, last: int, what: str) -> tuple[int, list[str]]:
+    if i < len(rows):
+        return rows[i]
+    raise LexiconFormatError(f"unexpected end of file, expected {what}", last)
+
+
+def _raise_first_fault(rows: list, layout: SegmentLayout, last: int) -> None:
+    """Raise the first fault of the rows after the layout line, read block by block."""
+    n, seen = layout.n, set()
+    for first in range(2, len(rows), n + 2):
+        lineno, parts = rows[first]
+        if parts[0] != "word" or len(parts) != 3:
+            raise LexiconFormatError("expected 'word <token> <alpha>'", lineno)
+        token = parts[1]
+        if token in seen:
+            raise LexiconFormatError(f"duplicate word {token!r}", lineno)
+        seen.add(token)
+        alpha = float(_parse_floats([parts[2]], 1, lineno, f"alpha of {token!r}")[0])
+        if alpha < 0.0:
+            raise LexiconFormatError(
+                f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}", lineno
+            )
+        for r, key in enumerate(["v"] + ["m"] * n):
+            what = f"matrix row {r} of {token!r}" if r else f"vector of {token!r}"
+            lineno, parts = _row(rows, first + 1 + r, last, what if r else f"v line of {token!r}")
+            if parts[0] != key:
+                raise LexiconFormatError(f"expected '{key} ...' for {token!r}", lineno)
+            _parse_floats(parts[1:], n, lineno, what)
 
 
 def loads(text: str) -> Lexicon:
@@ -241,57 +271,22 @@ def loads(text: str) -> Lexicon:
             continue
         rows.append((lineno, stripped.split()))
 
-    cursor = 0
-
-    def take(what: str) -> tuple[int, list[str]]:
-        # a bad pragma is raised once every row before it has been read
-        nonlocal cursor
-        if pragma_fault and (cursor >= len(rows) or rows[cursor][0] > pragma_fault.line):
-            raise pragma_fault
-        if cursor >= len(rows):
-            raise LexiconFormatError(f"unexpected end of file, expected {what}", last_lineno)
-        row = rows[cursor]
-        cursor += 1
-        return row
-
-    lineno, parts = take("header")
-    if parts != MAGIC.split():
-        raise LexiconFormatError(f"bad header, expected {MAGIC!r}", lineno)
-    lineno, parts = take("layout line")
-    if len(parts) != 4 or parts[0] != "layout":
-        raise LexiconFormatError("expected 'layout <d_domain> <d_stable> <d_inverted>'", lineno)
     try:
-        layout = SegmentLayout(int(parts[1]), int(parts[2]), int(parts[3]))
-    except ValueError as exc:
-        raise LexiconFormatError(f"bad layout: {exc}", lineno) from None
-    n = layout.n
-
-    entries = _read_entries([parts for _, parts in rows[2:]], layout)
-    if entries is None:  # re-read row by row to raise the first fault
-        entries = {}
-        while cursor < len(rows):
-            lineno, parts = take("word line")
-            if parts[0] != "word" or len(parts) != 3:
-                raise LexiconFormatError("expected 'word <token> <alpha>'", lineno)
-            token = parts[1]
-            if token in entries:
-                raise LexiconFormatError(f"duplicate word {token!r}", lineno)
-            alpha = float(_parse_floats([parts[2]], 1, lineno, f"alpha of {token!r}")[0])
-            if alpha < 0.0:
-                raise LexiconFormatError(
-                    f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}",
-                    lineno,
-                )
-            block = []
-            for r, key in enumerate(["v"] + ["m"] * n):
-                what = f"matrix row {r} of {token!r}" if r else f"vector of {token!r}"
-                lineno, parts = take(what if r else f"v line of {token!r}")
-                if parts[0] != key:
-                    raise LexiconFormatError(f"expected '{key} ...' for {token!r}", lineno)
-                block.append(_parse_floats(parts[1:], n, lineno, what))
-            entries[token] = LexicalEntry(
-                token, SemanticVector(block[0], layout), FunctionMatrix(block[1:], layout), alpha
-            )
+        lineno, parts = _row(rows, 0, last_lineno, "header")
+        if parts != MAGIC.split():
+            raise LexiconFormatError(f"bad header, expected {MAGIC!r}", lineno)
+        lineno, parts = _row(rows, 1, last_lineno, "layout line")
+        if len(parts) != 4 or parts[0] != "layout":
+            raise LexiconFormatError("expected 'layout <d_domain> <d_stable> <d_inverted>'", lineno)
+        try:
+            layout = SegmentLayout(int(parts[1]), int(parts[2]), int(parts[3]))
+        except ValueError as exc:
+            raise LexiconFormatError(f"bad layout: {exc}", lineno) from None
+        entries = _read_entries([parts for _, parts in rows[2:]], layout)
+        if entries is None:
+            _raise_first_fault(rows, layout, last_lineno)
+    except LexiconFormatError as exc:  # a bad pragma is reported in its place in file order
+        raise (pragma_fault if pragma_fault and pragma_fault.line <= exc.line else exc) from None
     if pragma_fault:
         raise pragma_fault
     return Lexicon(layout, entries, mu_default)

@@ -3,7 +3,9 @@
 Trees use the usual Penn-style text form: ``(TAG child child ...)`` where a
 leaf is ``(TAG token)``. Whitespace between elements is insignificant, and
 ``format_tree`` produces the canonical single-space rendering, so
-``parse_bracketed(format_tree(t)) == t``.
+``parse_bracketed(format_tree(t)) == t``. ``parse_forest`` separates trees
+by blank lines, and its lines break only at ``\n``, ``\r\n`` and ``\r``:
+``\x85``, form feed and U+2028 are spaces inside a line.
 
 A tree is stored flat, in post-order: per node a tag, a token (None for an
 internal node) and a tuple of child indices. Every subtree is then a run
@@ -22,16 +24,11 @@ nested pairs, introducing nodes tagged with the parent tag plus ``*``.
 
 from __future__ import annotations
 
-import re
+import io
 
 from .errors import TreeParseError
 
 __all__ = ["ParseTree", "parse_bracketed", "parse_forest", "format_tree", "binarize"]
-
-# Tags and tokens are any run of characters other than whitespace and
-# parens. str.split and re's \s split on the same Unicode whitespace, so
-# _TOKEN finds in the text the tokens that _parse splits off.
-_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _check_word(word, what: str) -> None:
@@ -141,12 +138,14 @@ def format_tree(tree: ParseTree) -> str:
 
 
 def _error(span: tuple, message: str, k: int, end: bool = False) -> TreeParseError:
-    """The error at the start (or end) of the k-th token of the span
-    ``(text, pos, endpos)``, or at ``endpos`` when it has no k-th token."""
-    for j, match in enumerate(_TOKEN.finditer(*span)):
-        if j == k:
-            return TreeParseError(message, match.end() if end else match.start())
-    return TreeParseError(message, span[2])
+    """The error at the start (or end) of the k-th of the tokens ``toks`` of the
+    span ``(text, pos, endpos, toks)``, or at ``endpos`` if there is none. Only
+    whitespace lies between tokens, so each is found in the text after the last."""
+    text, pos, endpos, toks = span
+    for tok in toks[: k + 1]:
+        start = text.index(tok, pos, endpos)
+        pos = start + len(tok)
+    return TreeParseError(message, endpos if k >= len(toks) else pos if end else start)
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -159,8 +158,8 @@ def _parse(text: str, pos: int, endpos: int) -> ParseTree:
 
     One loop over the tokens; a well-formed leaf ``( TAG tok )`` is taken
     in one step, and the k-th token of an error is found again by ``_error``."""
-    span = (text, pos, endpos)
     toks = text[pos:endpos].replace("(", " ( ").replace(")", " ) ").split()
+    span = (text, pos, endpos, toks)
     if not toks or toks[0] != "(":
         raise _error(span, "expected '('", 0)
     tags, tokens, kids = [], [], []
@@ -211,17 +210,18 @@ def _parse(text: str, pos: int, endpos: int) -> ParseTree:
 
 
 def parse_forest(text: str) -> list[ParseTree]:
-    """Parse several trees separated by blank lines. Each is parsed where it
-    stands, so an error's offset counts from the start of ``text``."""
+    """Parse several trees separated by blank lines; lines end only at ``\n``,
+    ``\r\n`` and ``\r``. Each tree is parsed where it stands, up to its last
+    line break, so an error's offset counts from the start of ``text``."""
     trees, start, pos = [], None, 0
-    for line in text.splitlines() + [""]:  # "" ends the last tree
+    for line in io.StringIO(text, newline="").readlines() + [""]:  # "" ends the last tree
         if line.strip():
             start = pos if start is None else start
-            end = pos + len(line)
+            end = pos + len(line.rstrip("\r\n"))
         elif start is not None:
             trees.append(_parse(text, start, end))
             start = None
-        pos += len(line) + (2 if text.startswith("\r\n", pos + len(line)) else 1)
+        pos += len(line)
     return trees
 
 

@@ -69,6 +69,15 @@ class TestLexiconInit:
         err = capsys.readouterr().err
         assert err.startswith("tripsem: ")
 
+    def test_word_list_without_words(self, tmp_path, capsys):
+        words = tmp_path / "empty.txt"
+        words.write_text("# only a comment\n\n  \n", encoding="utf-8")
+        code = run(["lexicon-init", "--words", str(words), "--out", str(tmp_path / "x.lex")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tripsem: no words found in {words}\n"
+
     def test_bad_layout_string(self, tmp_path, fixtures_dir, capsys):
         code = run(
             [
@@ -531,6 +540,23 @@ class TestVerify:
         assert float(report[prefix + "residual_tolerance"]) == 1e-9 * s_v
         assert 1e-9 < float(report[prefix + "v_error"]) <= 1e-9 * (s_v / s_m)
         assert float(report[residual]) <= 1e-9 * s_v
+
+    def test_contradiction_prints_the_joint_floor_its_verdict_uses(self, tmp_path, capsys):
+        """With vectors scaled by 1e-200 the joint residual is far below the
+        1e-6 base that ``residual_floor`` prints, and above the floor the
+        verdict uses, 1e-6 * s_v, which ``joint.residual_floor`` prints."""
+        base = init_random([f"w{i}" for i in range(6)], SegmentLayout(1, 1, 1), 3, 0.1)
+        scaled = {e.token: replace(e, v=SemanticVector(1e-200 * e.v.values, base.layout))
+                  for e in base}
+        lex = Lexicon(base.layout, scaled)
+        save(lex, tmp_path / "tiny.lex")
+        assert run(["verify", "contradiction", "--lexicon", str(tmp_path / "tiny.lex")]) == 0
+        report = dict(line.removeprefix("verify ").split(": ", 1) for line in lines_of(capsys))
+        s_v = float(np.abs(SampleSet.from_lexicon(lex).v).max())
+        assert report["residual_floor"] == "1e-06"
+        assert float(report["joint.residual_floor"]) == 1e-6 * s_v
+        assert float(report["joint.residual_floor"]) < float(report["residual_total"]) < 1e-6
+        assert report["result"] == "PASS"
 
     def test_failing_check_exits_one(self, tmp_path, capsys):
         # five words cannot pin down 72 unknowns: the value-only fit finds a

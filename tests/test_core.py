@@ -97,6 +97,14 @@ class TestFunctionMatrix:
         assert m.frobenius_norm() == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "value", [vec([1.0, 2.0, 3.0, 4.0]), FunctionMatrix.identity(LAY211)], ids=["vector", "matrix"]
+)
+def test_a_value_type_is_unequal_to_another_type(value):
+    assert value.__eq__(1.0) is NotImplemented
+    assert value != "x" and not value == 1.0
+
+
 class TestNegationOperator:
     @pytest.mark.parametrize("bad_mu", [0.0, -0.5, 1.0000001, np.nan, np.inf])
     def test_mu_outside_unit_interval_rejected(self, bad_mu):

@@ -94,6 +94,11 @@ class TestLexiconType:
         with pytest.raises(ValueError):
             Lexicon(LAY211, {"a": good, "b": bad})
 
+    def test_entry_filed_under_another_token_rejected(self):
+        entry = init_random(["a"], LAY211, seed=0, noise=0.1)["a"]
+        with pytest.raises(ValueError, match="^entry token 'a' filed under 'b'$"):
+            Lexicon(LAY211, {"b": entry})
+
     def test_bad_mu_default_rejected(self):
         with pytest.raises(ValueError):
             Lexicon(LAY211, {}, mu_default=0.0)
@@ -142,6 +147,10 @@ class TestInitRandom:
         # pyproject.toml's filterwarnings makes a numpy RuntimeWarning fail this test
         with pytest.raises(ValueError, match="^function matrix entries must be finite$"):
             init_random(["x", "y"], LAY211, seed=0, noise=1e308)
+
+    def test_token_with_whitespace_rejected(self):
+        with pytest.raises(ValueError, match="^token must be nonempty and whitespace-free"):
+            init_random(["a b"], LAY211, seed=0, noise=0.1)
 
     def test_empty_token_list_rejected(self):
         with pytest.raises(ValueError):
@@ -325,6 +334,13 @@ class TestLoadErrors:
                 "invalid entry 'b': alpha must be finite and >= 0, got -1.0",
                 9,
             ),
+            (
+                {2: "layout -1 2 2"},
+                14,
+                "bad layout: d_domain must be a non-negative integer, got -1",
+                2,
+            ),
+            ({2: "layout 0 0 0"}, 14, "bad layout: layout must have at least one dimension", 2),
         ],
         ids=[
             "v-keyword",
@@ -340,6 +356,8 @@ class TestLoadErrors:
             "v-fault-before-m1-keyword",
             "negative-alpha",
             "negative-alpha-before-m3-short",
+            "layout-negative-count",
+            "layout-no-dimension",
         ],
     )
     def test_first_fault_of_a_block_names_its_line(self, edits, keep, message, line):
@@ -428,6 +446,42 @@ class TestLoadErrors:
     def test_empty_input(self):
         with pytest.raises(LexiconFormatError):
             loads("")
+
+
+# Lines that are faulty, or out of place, almost anywhere in a lexicon
+JUNK = [
+    "", "junk", "TRIPSEM 1", "layout 1 1 1", "layout 1 1", "word a 1.0", "word c -1",
+    "word c nan", "v 1 2 3", "v 1 2", "v 1 inf 3", "m 0 x 0", "m 1e400 0 0", "m 1 0 0 0",
+    "# mu_default 2", "# mu_default x", "# mu_default 0.25", "# comment",
+]
+
+
+class TestFaultOrderProperties:
+    @given(st.data())
+    def test_a_fault_does_not_depend_on_the_lines_after_it(self, data):
+        """Edit a dumped lexicon with junk lines until it has a fault at line
+        L; junk in place of any lines after L leaves the same fault."""
+        lex = init_random(["a", "b"], SegmentLayout(1, 1, 1), seed=4, noise=0.1)
+        lines = dumps(lex).splitlines()
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(lines)))
+            edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+            junk = data.draw(st.sampled_from(JUNK))
+            lines[i : i + (edit != "insert")] = [] if edit == "delete" else [junk]
+        newline, end = data.draw(st.sampled_from([("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")]))
+        text = newline.join(lines) + end
+        try:
+            loads(text)
+        except LexiconFormatError as exc:
+            fault = exc
+        else:
+            return
+        lines = text.splitlines()  # the file's own lines: no "" after its last newline
+        for i in range(fault.line, len(lines)):
+            lines[i] = data.draw(st.sampled_from([lines[i], *JUNK]))
+        with pytest.raises(LexiconFormatError) as err:
+            loads(newline.join(lines) + end)
+        assert (str(err.value), err.value.line) == (str(fault), fault.line)
 
 
 class TestTwoWordFixture:

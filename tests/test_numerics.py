@@ -56,6 +56,18 @@ class TestCosine:
             warnings.simplefilter("error")
             assert cosine(u, v) == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "u, error, message",
+        [
+            ([[1.0, 0.0]], DimensionError, r"^expected a 1-D vector, got shape \(1, 2\)$"),
+            ([1.0, math.inf], ValueError, "^vector entries must be finite$"),
+            ([1.0, math.nan], ValueError, "^vector entries must be finite$"),
+        ],
+    )
+    def test_input_other_than_a_finite_vector_rejected(self, u, error, message):
+        with pytest.raises(error, match=message):
+            cosine(u, [1.0, 0.0])
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             cosine([1.0], [1.0, 2.0])

@@ -22,6 +22,9 @@ TREE = "tests/fixtures/figure3.tree"
 WIDE = "tests/fixtures/wide.tree"
 # figure3.tree spaced with tabs, CRLF and U+3000: the same report bar its tree line
 SPACED = "tests/fixtures/spaced.tree"
+# figure3.tree with \x85, U+2028, form feeds and the like between constituents,
+# all of them spaces within a line of a tree file: the same report bar its tree line
+BREAKS = "tests/fixtures/breaks.tree"
 
 COMPOSE = ["compose", *LEX, "--tree", TREE]
 SIM = ["sim", *LEX, "--a", "blue", "--b", "not_blue"]
@@ -35,6 +38,8 @@ COMMANDS = {
     "compose_improved_wide": ["compose", *LEX, "--tree", WIDE, "--model", "improved"],
     "compose_baseline_spaced": ["compose", *LEX, "--tree", SPACED, "--model", "baseline"],
     "compose_improved_spaced": ["compose", *LEX, "--tree", SPACED, "--model", "improved"],
+    "compose_baseline_breaks": ["compose", *LEX, "--tree", BREAKS, "--model", "baseline"],
+    "compose_improved_breaks": ["compose", *LEX, "--tree", BREAKS, "--model", "improved"],
     "verify_contradiction": ["verify", "contradiction", *LEX],
     "verify_improved_fit": ["verify", "improved-fit", *LEX],
     "verify_double_negation": ["verify", "double-negation", *LEX],
@@ -91,6 +96,16 @@ def test_report_matches_golden_copy(name, monkeypatch, capsys):
     got = capsys.readouterr().out
     want = (REPORTS / f"{name}.txt").read_text(encoding="utf-8")
     assert_reports_match(got, want)
+
+
+@pytest.mark.parametrize("model", ["baseline", "improved"])
+@pytest.mark.parametrize("tree", ["spaced", "breaks"])
+def test_respaced_trees_report_as_figure3_bar_their_tree_line(tree, model):
+    def golden(name):
+        lines = (REPORTS / f"{name}.txt").read_text(encoding="utf-8").splitlines()
+        return [line for line in lines if not line.startswith("compose tree: ")]
+
+    assert golden(f"compose_{model}_{tree}") == golden(f"compose_{model}_right")
 
 
 def test_every_golden_copy_has_a_command():

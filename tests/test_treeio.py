@@ -91,6 +91,21 @@ class TestParse:
         assert err.value.offset == len("(S (NP (Det this))) ")
 
 
+class TestBuild:
+    def test_leaf_token_with_whitespace_rejected(self):
+        with pytest.raises(ValueError, match="^leaf token must be nonempty and whitespace-free"):
+            ParseTree.leaf("JJ", "a b")
+
+    def test_node_without_children_rejected(self):
+        with pytest.raises(ValueError, match="^a node needs at least one child$"):
+            ParseTree.node("S", [])
+
+    def test_a_tree_is_unequal_to_another_type(self):
+        tree = parse_bracketed(SENTENCE)
+        assert tree.__eq__(SENTENCE) is NotImplemented
+        assert tree != SENTENCE and not tree == 1
+
+
 class TestFormat:
     def test_canonical_single_space(self):
         assert format_tree(parse_bracketed(SENTENCE)) == SENTENCE
@@ -121,7 +136,7 @@ class TestForest:
             parse_forest(text + "\n")
         assert str(err.value) == f"{message} (offset {offset})"
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize(
         "trees, message, marker, shift",
         [
@@ -135,13 +150,24 @@ class TestForest:
     def test_offsets_count_from_the_start_of_the_text(
         self, trees, message, marker, shift, newline
     ):
-        """An error in the 2nd or 3rd tree, with LF or CRLF line endings."""
+        """An error in the 2nd or 3rd tree, with LF, CRLF or CR line endings."""
         text = (newline * 2).join(tree.replace("\n", newline) for tree in trees) + newline
         offset = text.rindex(marker) + shift
         with pytest.raises(TreeParseError) as err:
             parse_forest(text)
         assert str(err.value) == f"{message} (offset {offset})"
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(S (A a)\x85\x85(B b))\n",
+            "(S (A a)\u2028\u2029(B b))",
+            "(S\x0b\x0c(A a)\x1c\x1d\x1e(B b))",
+        ],
+    )
+    def test_unicode_line_separators_are_spaces_within_a_line(self, text):
+        assert parse_forest(text) == [parse_bracketed("(S (A a) (B b))")]
 
     def test_offsets_skip_leading_blank_lines(self):
         text = "\n \r\n\t\n  (S (A a) (B ))\n"
@@ -251,6 +277,42 @@ class TestWhitespaceProperties:
             text += data.draw(whitespace(min_size=1 if words else 0)) + token
         text += data.draw(whitespace())
         assert parse_bracketed(text) == tree
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r"]
+# every character str.isspace accepts but the line breaks of a tree file
+SPACES = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in "\n\r"]
+
+
+def gap(data, breaks: int, min_size: int = 0) -> str:
+    """A run of whitespace that holds ``breaks`` line breaks."""
+    text = "".join(data.draw(st.lists(st.sampled_from(SPACES), min_size=min_size, max_size=3)))
+    for _ in range(breaks):
+        br = data.draw(st.sampled_from(LINE_BREAKS))
+        # "\r" then "\n" would read as one CRLF break
+        text += (" " if text.endswith("\r") and br == "\n" else "") + br
+        text += "".join(data.draw(st.lists(st.sampled_from(SPACES), max_size=2)))
+    return text
+
+
+class TestForestProperties:
+    @given(st.lists(random_trees(), min_size=1, max_size=4), st.data())
+    def test_any_whitespace_and_blank_lines_parse_to_the_built_trees(self, trees, data):
+        """Trees built with ParseTree.node and .leaf, each printed with runs
+        of any Unicode whitespace (at most one line break) between its
+        tokens and joined by blank lines of LF, CRLF or CR, parse back to
+        the same forest."""
+        text = gap(data, data.draw(st.integers(0, 2)))
+        for n, tree in enumerate(trees):
+            if n:
+                text += gap(data, data.draw(st.integers(2, 4)))
+            tokens = text_tokens(tree)
+            text += tokens[0]
+            for before, token in zip(tokens, tokens[1:]):
+                words = before not in "()" and token not in "()"
+                text += gap(data, data.draw(st.integers(0, 1)), 1 if words else 0) + token
+        text += gap(data, data.draw(st.integers(0, 2)))
+        assert parse_forest(text) == trees
 
 
 class TestDeepTrees:

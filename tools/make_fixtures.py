@@ -13,6 +13,10 @@ Writes, under tests/fixtures/:
                   as stacked steps
 * spaced.tree     figure3.tree spaced with tabs, CRLF line breaks and
                   ideographic spaces (U+3000); it composes as figure3.tree
+* breaks.tree     figure3.tree with pairs of the whitespace that Unicode
+                  calls line breaks but tree files do not (\x85, U+2028,
+                  U+2029, form feed, \x1c, \x1d) between constituents;
+                  it composes as figure3.tree
 
 With --reports it writes instead, under tests/fixtures/reports/, the
 golden copy of every CLI report that tests/test_reports.py compares
@@ -56,6 +60,11 @@ SPACED = (
     "(S\t(NP (Det this)\u3000(N car))\r\n"
     "\t(VP\u3000(VBZ\tis) (RB not)\r\n"
     "\u3000\u3000(ADJP (JJ\u3000blue))))\r\n"
+)
+
+BREAKS = (
+    "(S (NP (Det this)\x85\x85(N car))\u2028\u2029"
+    "(VP (VBZ is)\x0c\x0c(RB not)\x1c\x1d(ADJP (JJ blue))))\n"
 )
 
 
@@ -118,6 +127,7 @@ def main():
     (FIXTURES / "wide.tree").write_text(balanced(WIDE_LEAVES) + "\n", encoding="utf-8")
     # newline="" writes the CRLFs as they are on every platform
     (FIXTURES / "spaced.tree").write_text(SPACED, encoding="utf-8", newline="")
+    (FIXTURES / "breaks.tree").write_text(BREAKS, encoding="utf-8", newline="")
     print(f"fixtures written under {FIXTURES}")
 
 
