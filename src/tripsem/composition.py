@@ -31,20 +31,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
 from .core import FunctionMatrix, LexicalEntry, SemanticVector
 from .errors import DegenerateWeightsError, DimensionError, TreeArityError, UnknownTokenError
 from .lexicon import Lexicon
-from .treeio import ParseTree, _describe
+from .treeio import ParseTree, _describe, _shape
 
 __all__ = ["CompositionConfig", "compose_pair", "compose_tree"]
 
 MODELS = ("baseline", "improved")
 # compose_tree runs a level of at least WIDE nodes of equal height as one
-# stacked step, CHUNK nodes at a time, which bounds the gathered copies.
+# stacked step, CHUNK nodes at a time, which bounds the gathered copies, in
+# a tree of at least 2 WIDE nodes of height 1.
 WIDE = 16
 CHUNK = 128
 
@@ -60,26 +60,26 @@ class CompositionConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
 
-def _step(va, ma, aa, vb, mb, ab, baseline: bool, where) -> tuple:
+def _step(va, ma, aa, vb, mb, ab, baseline: bool, where, top=max) -> tuple:
     """The composition step on plain arrays: the parent's (v, M, alpha).
 
     One node is v (n,), M (n, n) and float alphas. A stack of k nodes is
-    v (k, n, 1), M (k, n, n) and alphas (k, 1, 1), under the same rules,
-    bit for bit; a stack leaves a Z = 0 weight as NaN in M, for the
-    caller's finiteness test to find. ``where()`` names the step, only to
-    word an error. Callers test the parent with ``_check_finite`` and hold
-    numpy's overflow and invalid-value warnings off."""
+    v (k, n, 1), M (k, n, n) and alphas (k, 1, 1), with ``top=np.maximum``,
+    under the same rules, bit for bit; a stack leaves a Z = 0 weight as NaN
+    in M, for the caller's finiteness test to find, where float alphas
+    raise. ``where()`` names the step, only to word an error. Callers test
+    the parent with ``_check_finite`` and hold numpy's overflow and
+    invalid-value warnings off."""
     v = ma @ vb + mb @ va
-    one = ma.ndim == 2
     if baseline:
         m = ma + mb
     else:
-        z = aa + ab
-        if one and z == 0.0:
-            raise DegenerateWeightsError(f"both alphas are zero at {where()}")
-        weight_a = aa / z
+        try:
+            weight_a = aa / (aa + ab)
+        except ZeroDivisionError:
+            raise DegenerateWeightsError(f"both alphas are zero at {where()}") from None
         m = weight_a * ma + (1.0 - weight_a) * mb
-    return v, m, max(aa, ab) if one else np.maximum(aa, ab)
+    return v, m, top(aa, ab)
 
 
 def _check_finite(v, m, where) -> None:
@@ -118,66 +118,71 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
     )
 
 
-def _wide_levels(kids, lo: int, arity: bytes) -> tuple:
+def _wide_levels(starts, lo: int, arity: bytes) -> tuple:
     """The bottom levels, of at least ``WIDE`` nodes each, of the binary tree
-    whose nodes from lo on have the child counts ``arity``, 0 or 2 each.
+    whose nodes from lo on have the subtree starts ``starts[lo:]`` and the
+    child counts ``arity``, 0 or 2 each.
 
-    Level h is the internal nodes of height h, as their indices (k,) and
-    their children's (k, 2); every child is a leaf or in a lower level.
+    Level h is the internal nodes of height h, as the indices (k,) of the
+    nodes, of their left children and of their right children; every child
+    is a leaf or in a lower level.
     Also returns the post-order in which the fold visits the rest: the
     top's nodes and the leaves and level roots they take. Indices count
     from lo."""
-    # in post-order, each node of height 1 is the run: leaf, leaf, node
-    if arity.count(b"\0\0\2") < WIDE:
+    # in post-order, each node of height 1 is the run: leaf, leaf, node; a
+    # tree of fewer than 2 WIDE such nodes composes faster node by node
+    if arity.count(b"\0\0\2") < 2 * WIDE:
         return [], None
     arity = np.frombuffer(arity, np.uint8)
     inner = np.flatnonzero(arity)
-    pairs = np.fromiter(chain.from_iterable(kids[lo : lo + len(arity)]), np.intp, 2 * inner.size)
-    pairs = pairs.reshape(-1, 2) - lo
+    # a node's right child is the node before it, and its left child the
+    # node before the right child's subtree
+    right = inner - 1
+    left = np.fromiter(starts[lo : lo + len(arity)], np.intp, len(arity))[right] - (lo + 1)
     done = arity == 0  # nodes below the level being found
     levels = []
     while True:
-        up = done[pairs].all(axis=1)
+        up = done[left] & done[right]
         if np.count_nonzero(up) < WIDE:
             break
-        levels.append((inner[up], pairs[up]))
+        levels.append((inner[up], left[up], right[up]))
         done[inner[up]] = True
-        inner, pairs = inner[~up], pairs[~up]
-    taken = pairs[done[pairs]]
+        inner, left, right = inner[~up], left[~up], right[~up]
+    taken = np.concatenate([left[done[left]], right[done[right]]])
     return levels, np.sort(np.concatenate([inner, taken]))
 
 
 def _plan(tree: ParseTree) -> tuple:
     """What composing ``tree`` needs that no lexicon changes, as the tuple
-    (leaves, steps, order, roots, phrase): the unique leaf tokens, which
+    (leaves, steps, top, roots, phrase): the unique leaf tokens, which
     take the first rows of the results; each stacked step as
     (out, a, b, where), the rows of its results and of their children; the
-    fold's order; the row of each level root that the fold pushes; and the
-    root's token. Raises ``TreeArityError`` unless every node has 0 or 2
-    children."""
-    tags, tokens, kids = tree._tags, tree._tokens, tree._kids
-    lo, hi = tree._first(), tree._i + 1
-    try:
-        arity = bytes(map(len, kids[lo:hi]))
-    except ValueError:  # a node of 256 or more children
-        arity = b"\xff"
+    nodes the fold visits, in its order, each with its token or, for a
+    level root, its row (None when the fold visits every node); the level
+    roots' rows; and the root's token. Raises ``TreeArityError`` unless
+    every node has 0 or 2 children."""
+    tokens = tree._tokens
+    lo, starts, arity = _shape(tree)
+    hi = lo + len(arity)
     if arity.translate(None, b"\0\2"):
-        wide = next(j for j in range(lo, hi) if len(kids[j]) not in (0, 2))
+        wide = tree._node(lo + len(arity) - len(arity.lstrip(b"\0\2")))
         raise TreeArityError(
-            f"node {tags[wide]!r} has {len(kids[wide])} children; "
+            f"node {wide.tag!r} has {len(wide.children)} children; "
             "composition needs a binary tree (binarize first)"
         )
-    phrase = " ".join(filter(None, tokens[lo:hi]))  # tree.fringe(), without the tuple
-    levels, order = _wide_levels(kids, lo, arity)
+    fringe = tuple(filter(None, tokens[lo:hi]))
+    phrase = " ".join(fringe)
+    levels, order = _wide_levels(starts, lo, arity)
     if not levels:
-        return (), [], range(lo, hi), {}, phrase
-    leaf_rows = {t: r for r, t in enumerate(dict.fromkeys(filter(None, tokens[lo:hi])))}
+        return (), [], None, (), phrase
+    leaf_rows = {t: r for r, t in enumerate(dict.fromkeys(fringe))}
     # row[j]: the row of node lo + j in the results, -1 for a top node
-    row = np.fromiter(map(leaf_rows.get, tokens[lo:hi], repeat(-1)), np.intp, hi - lo)
+    row = np.full(hi - lo, -1)
+    row[np.frombuffer(arity, np.uint8) == 0] = list(map(leaf_rows.get, fringe))
     steps, end = [], len(leaf_rows)
-    for height, (nodes, pairs) in enumerate(levels, 1):
-        row[nodes] = range(end, end + len(nodes))
-        a, b = row[pairs.T]  # contiguous, as are their chunks
+    for height, (nodes, left, right) in enumerate(levels, 1):
+        row[nodes] = np.arange(end, end + len(nodes))
+        a, b = row[left], row[right]
 
         def where(k=len(nodes), height=height) -> str:
             return f"{k} nodes of height {height}"
@@ -186,8 +191,10 @@ def _plan(tree: ParseTree) -> tuple:
             ca, cb = a[s : s + CHUNK], b[s : s + CHUNK]
             steps.append((slice(end + s, end + s + len(ca)), ca, cb, where))
         end += len(nodes)
-    roots = {j + lo: r for j, r in zip(order.tolist(), row[order].tolist()) if r >= len(leaf_rows)}
-    return tuple(leaf_rows), steps, (order + lo).tolist(), roots, phrase
+    # the fold's tokens: a level root's is its row, where stacked() keeps it
+    rows, first = row[order].tolist(), len(leaf_rows)
+    top = {j: tokens[j] if r < first else r for j, r in zip((order + lo).tolist(), rows)}
+    return tuple(leaf_rows), steps, top, [r for r in rows if r >= first], phrase
 
 
 def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> LexicalEntry:
@@ -200,8 +207,9 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     narrow going up. Each bottom level of at least ``WIDE`` nodes runs as
     one stacked step, ``CHUNK`` nodes at a time, into one results array per
     tree: the unique leaf entries, then the levels' nodes, about 8 n^2 bytes
-    per node (2.1 MB for a balanced 4096-leaf tree at n = 8). Chains and
-    trees of under 32 leaves have no such level. The narrow top is a loop
+    per node (2.1 MB for a balanced 4096-leaf tree at n = 8). A tree of
+    fewer than ``2 * WIDE`` nodes of height 1, as any chain or tree of
+    under 64 leaves, has no such level. The narrow top is a loop
     over the post-order arrays with a stack of plain (v, M, alpha) arrays: a
     leaf or a level's root pushes its arrays, an internal node replaces its
     two children by the step ``compose_pair`` runs. A stack of nodes gives
@@ -233,12 +241,12 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     first fault.
     """
     plan = tree._plan or _plan(tree)
-    leaf_tokens, steps, order, roots, phrase = plan
+    leaf_tokens, steps, top, roots, phrase = plan
     tokens, hi = tree._tokens, tree._i + 1
     baseline = cfg.model == "baseline"
 
     def stacked() -> dict:
-        """Run the stacked steps; return the level roots the fold pushes."""
+        """Run the stacked steps; return the level roots the fold takes, by row."""
         if not steps:
             return {}
         n, rows = lexicon.layout.n, steps[-1][0].stop
@@ -250,15 +258,17 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
         alphas[:end, 0, 0] = [entry.alpha for entry in entries]
         for out, a, b, where in steps:
             vs[out], ms[out], alphas[out] = _step(
-                vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline, where
+                vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline, where, top=np.maximum
             )
-        return {j: (vs[r, :, 0], ms[r], float(alphas[r, 0, 0])) for j, r in roots.items()}
+        return {r: (vs[r, :, 0], ms[r], float(alphas[r, 0, 0])) for r in roots}
 
-    def fold(order, roots: dict, checked: bool) -> tuple:
+    def fold(order, tokens, leaves: dict, checked: bool) -> tuple:
+        """The post-order fold over ``order``; ``tokens[j]`` is node j's
+        token, or the row of a level root, whose arrays ``leaves`` holds."""
+
         def where() -> str:  # reads the loop's j: the node being composed
             return _describe(tree, j)
 
-        leaves: dict[str, tuple] = {}
         stack: list[tuple] = []
         for j in order:
             token = tokens[j]
@@ -269,9 +279,6 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
                     leaf = leaves[token] = (entry.v.values, entry.M.entries, entry.alpha)
                 stack.append(leaf)
                 continue
-            if j in roots:
-                stack.append(roots[j])
-                continue
             vb, mb, ab = stack.pop()
             va, ma, aa = stack[-1]
             stack[-1] = parent = _step(va, ma, aa, vb, mb, ab, baseline, where)
@@ -279,14 +286,15 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
                 _check_finite(parent[0], parent[1], where)
         return stack[0]
 
+    every = range(tree._first(), hi)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            v, m, alpha = fold(order, stacked(), checked=False)
+            v, m, alpha = fold(top or every, top or tokens, stacked(), checked=False)
             _check_finite(v, m, lambda: _describe(tree, hi - 1))
         except (UnknownTokenError, ValueError):
             v = None
         if v is None:
-            fold(range(tree._first(), hi), {}, checked=True)  # raises the fold's first fault
+            fold(every, tokens, {}, checked=True)  # raises the fold's first fault
     tree._plan = plan
     if tokens[hi - 1] is not None:
         return lexicon[tokens[hi - 1]]

@@ -8,13 +8,15 @@ by blank lines, and its lines break only at ``\n``, ``\r\n`` and ``\r``:
 ``\x85``, form feed and U+2028 are spaces inside a line.
 
 A tree is stored flat, in post-order: per node a tag, a token (None for an
-internal node) and a tuple of child indices. Every subtree is then a run
-of indices ending at its root, its leaves appear left to right, and the
-arrays read as the shift-reduce sequence that ``compose_tree`` evaluates
-with one stack. ``ParseTree`` is a read-only view of one node of such
-arrays. The parser, ``binarize``, ``format_tree``, equality and hashing
-are loops over the arrays; none recurses, so depth is bounded by memory
-alone.
+internal node), its subtree's start (the index of its leftmost leaf) and
+its child count. Every subtree is then the run of indices from its start
+to its root, its leaves appear left to right, a node's last child is the
+node before it and each earlier child ends where the next one starts, and
+the arrays read as the shift-reduce sequence that ``compose_tree``
+evaluates with one stack. ``ParseTree`` is a read-only view of one node of
+such arrays. The parser, ``binarize``, ``format_tree``, equality and
+hashing are loops over the arrays; none recurses, so depth is bounded by
+memory alone.
 
 Composition is strictly pairwise, so n-ary trees must be binarized first.
 ``binarize`` collapses unary chains into their child (keeping the lower tag;
@@ -43,35 +45,37 @@ class ParseTree:
     trees with ``parse_bracketed``, ``ParseTree.leaf`` and ``ParseTree.node``.
     """
 
-    __slots__ = ("_tags", "_tokens", "_kids", "_i", "_plan")
+    __slots__ = ("_tags", "_tokens", "_starts", "_arity", "_i", "_plan")
 
-    def __init__(self, tags: tuple, tokens: tuple, kids: tuple, index: int):
-        self._tags, self._tokens, self._kids, self._i = tags, tokens, kids, index
+    def __init__(self, tags: tuple, tokens: tuple, starts: tuple, arity: tuple, index: int):
+        self._tags, self._tokens, self._starts, self._arity = tags, tokens, starts, arity
+        self._i = index
         self._plan = None  # composition's plan of this tree; see compose_tree
 
     @classmethod
     def leaf(cls, tag: str, token: str) -> "ParseTree":
         _check_word(tag, "tag")
         _check_word(token, "leaf token")
-        return cls((tag,), (token,), ((),), 0)
+        return cls((tag,), (token,), (0,), (0,), 0)
 
     @classmethod
     def node(cls, tag: str, children) -> "ParseTree":
         _check_word(tag, "tag")
-        tags, tokens, kids, roots = [], [], [], []
-        for child in children:
+        tags, tokens, starts, arity, count = [], [], [], [], 0
+        for count, child in enumerate(children, 1):
             lo, hi = child._first(), child._i + 1
             shift = len(tags) - lo
             tags += child._tags[lo:hi]
             tokens += child._tokens[lo:hi]
-            kids += [tuple(k + shift for k in ks) for ks in child._kids[lo:hi]]
-            roots.append(len(tags) - 1)
-        if not roots:
+            starts += [s + shift for s in child._starts[lo:hi]]
+            arity += child._arity[lo:hi]
+        if not tags:
             raise ValueError("a node needs at least one child")
         tags.append(tag)
         tokens.append(None)
-        kids.append(tuple(roots))
-        return cls(tuple(tags), tuple(tokens), tuple(kids), len(tags) - 1)
+        starts.append(0)
+        arity.append(count)
+        return cls(tuple(tags), tuple(tokens), tuple(starts), tuple(arity), len(tags) - 1)
 
     @property
     def tag(self) -> str:
@@ -83,19 +87,19 @@ class ParseTree:
 
     @property
     def children(self) -> tuple["ParseTree", ...]:
-        arrays = (self._tags, self._tokens, self._kids)
-        return tuple(ParseTree(*arrays, k) for k in self._kids[self._i])
+        return tuple(map(self._node, reversed(tuple(_kids(self._starts, self._i)))))
 
     @property
     def is_leaf(self) -> bool:
         return self._tokens[self._i] is not None
 
+    def _node(self, j: int) -> "ParseTree":
+        """Node j of the same arrays."""
+        return ParseTree(self._tags, self._tokens, self._starts, self._arity, j)
+
     def _first(self) -> int:
         """Index of this subtree's first node, its leftmost leaf."""
-        i, kids = self._i, self._kids
-        while kids[i]:
-            i = kids[i][0]
-        return i
+        return self._starts[self._i]
 
     def fringe(self) -> tuple[str, ...]:
         """Leaf tokens, left to right."""
@@ -104,7 +108,7 @@ class ParseTree:
     def _key(self) -> tuple:
         # Post-order (tag, token, arity) determines a tree uniquely.
         lo, hi = self._first(), self._i + 1
-        return self._tags[lo:hi], self._tokens[lo:hi], tuple(map(len, self._kids[lo:hi]))
+        return self._tags[lo:hi], self._tokens[lo:hi], self._arity[lo:hi]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParseTree):
@@ -118,9 +122,30 @@ class ParseTree:
         return f"<ParseTree {format_tree(self)}>"
 
 
+def _kids(starts, j: int):
+    """The children of node j, right to left: the last is node j - 1, and
+    each earlier one ends right before the start of the next."""
+    k, lo = j - 1, starts[j]
+    while k >= lo:
+        yield k
+        k = starts[k] - 1
+
+
+def _shape(tree: ParseTree) -> tuple[int, tuple, bytes]:
+    """(lo, starts, arity): ``tree``'s nodes are lo to lo + len(arity) - 1 of
+    its arrays, in post-order; node j's subtree is nodes starts[j] to j, and
+    arity[j - lo] is its child count as a byte, 255 for 255 or more."""
+    lo = tree._first()
+    counts = tree._arity[lo : tree._i + 1]
+    try:
+        return lo, tree._starts, bytes(counts)
+    except ValueError:  # a node of 256 or more children
+        return lo, tree._starts, bytes(min(count, 255) for count in counts)
+
+
 def format_tree(tree: ParseTree) -> str:
     """Canonical single-space bracketed rendering, in one loop over a stack."""
-    tags, tokens, kids = tree._tags, tree._tokens, tree._kids
+    tags, tokens, starts = tree._tags, tree._tokens, tree._starts
     out = []
     todo: list = [tree._i]
     while todo:
@@ -132,20 +157,23 @@ def format_tree(tree: ParseTree) -> str:
         else:
             out.append("(" + tags[item])
             todo.append(")")
-            for k in reversed(kids[item]):
+            for k in _kids(starts, item):
                 todo += (k, " ")
     return "".join(out)
 
 
 def _error(span: tuple, message: str, k: int, end: bool = False) -> TreeParseError:
     """The error at the start (or end) of the k-th of the tokens ``toks`` of the
-    span ``(text, pos, endpos, toks)``, or at ``endpos`` if there is none. Only
-    whitespace lies between tokens, so each is found in the text after the last."""
+    span ``(text, pos, endpos, toks)``, or at ``endpos`` past the last, where
+    empty strings pad ``toks``. Only whitespace lies between tokens, so each
+    is found in the text after the last."""
     text, pos, endpos, toks = span
+    if k >= len(toks) or not toks[k]:
+        return TreeParseError(message, endpos)
     for tok in toks[: k + 1]:
         start = text.index(tok, pos, endpos)
         pos = start + len(tok)
-    return TreeParseError(message, endpos if k >= len(toks) else pos if end else start)
+    return TreeParseError(message, pos if end else start)
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -159,54 +187,64 @@ def _parse(text: str, pos: int, endpos: int) -> ParseTree:
     One loop over the tokens; a well-formed leaf ``( TAG tok )`` is taken
     in one step, and the k-th token of an error is found again by ``_error``."""
     toks = text[pos:endpos].replace("(", " ( ").replace(")", " ) ").split()
+    count = len(toks)
+    toks += ("", "", "")  # so the tests below look ahead without a bounds test
     span = (text, pos, endpos, toks)
-    if not toks or toks[0] != "(":
+    if toks[0] != "(":
         raise _error(span, "expected '('", 0)
-    tags, tokens, kids = [], [], []
-    # One (tag, child node indices, bare token indices) per open node.
-    open_nodes: list[tuple[str, list[int], list[int]]] = []
-    count, i = len(toks), 0
-    while i < count:
+    tags, tokens, starts, arity = [], [], [], []
+    # One (tag, start) per open node, and its child count so far in counts
+    opened: list[tuple[str, int]] = []
+    counts: list[int] = []
+    bare: dict[int, list[int]] = {}  # depth -> indices of its open node's bare tokens
+    i = 0
+    while True:
         tok = toks[i]
         if tok == "(":
-            # a token containing a paren is one paren, so `in "()"` tests for one
-            if i + 1 == count or toks[i + 1] in "()":
+            # a token containing a paren is one paren, so `in "()"` tests for
+            # one; the empty string past the end is in "()" too
+            if toks[i + 1] in "()":
                 raise _error(span, "missing tag after '('", i + 1)
-            if i + 3 < count and toks[i + 3] == ")" and toks[i + 2] not in "()":
+            if toks[i + 3] == ")" and toks[i + 2] not in "()":
+                starts.append(len(tags))
                 tags.append(toks[i + 1])
                 tokens.append(toks[i + 2])
-                kids.append(())
+                arity.append(0)
                 i += 4
             else:
-                open_nodes.append((toks[i + 1], [], []))
+                opened.append((toks[i + 1], len(tags)))
+                counts.append(0)
                 i += 2
                 continue
         elif tok == ")":
             # a node of one bare token is a leaf, which the branch above took
-            tag, children, bare = open_nodes.pop()
-            if children and bare:
-                raise _error(span, "node mixes bare tokens with subtrees", bare[0], end=True)
-            if bare:
-                raise _error(span, "leaf has more than one token", bare[1], end=True)
+            mine = bare and bare.get(len(opened))
+            tag, start = opened.pop()
+            children = counts.pop()
+            if mine:
+                if children:
+                    raise _error(span, "node mixes bare tokens with subtrees", mine[0], end=True)
+                raise _error(span, "leaf has more than one token", mine[1], end=True)
             if not children:
                 raise _error(span, "empty node", i, end=True)
+            starts.append(start)
             tags.append(tag)
             tokens.append(None)
-            kids.append(tuple(children))
+            arity.append(children)
             i += 1
-        else:
-            open_nodes[-1][2].append(i)
+        elif tok:
+            bare.setdefault(len(opened), []).append(i)
             i += 1
             continue
+        else:
+            raise _error(span, "unbalanced brackets: unexpected end of input", i)
         # node len(tags) - 1 is complete
-        if not open_nodes:
+        if not opened:
             break
-        open_nodes[-1][1].append(len(tags) - 1)
-    else:
-        raise _error(span, "unbalanced brackets: unexpected end of input", count)
+        counts[-1] += 1
     if i < count:
         raise _error(span, "trailing content after tree", i)
-    return ParseTree(tuple(tags), tuple(tokens), tuple(kids), len(tags) - 1)
+    return ParseTree(tuple(tags), tuple(tokens), tuple(starts), tuple(arity), len(tags) - 1)
 
 
 def parse_forest(text: str) -> list[ParseTree]:
@@ -241,52 +279,52 @@ def binarize(tree: ParseTree, strategy: str = "right") -> ParseTree:
     """
     if strategy not in ("right", "left"):
         raise ValueError(f"strategy must be 'right' or 'left', got {strategy!r}")
-    tags, tokens, kids = tree._tags, tree._tokens, tree._kids
-    lo, hi = tree._first(), tree._i + 1
-    if set(map(len, kids[lo:hi])) <= {0, 2}:
+    lo, starts, arity = _shape(tree)
+    if not arity.translate(None, b"\0\2"):
         return tree
+    tags, tokens = tree._tags, tree._tokens
     # Left fold: each child of a wide node but its last -> that node.
     folds_into = {}
     if strategy == "left":
-        for j in range(lo, hi):
-            if len(kids[j]) > 2:
-                folds_into.update(dict.fromkeys(kids[j][:-1], j))
+        for j, count in enumerate(arity, lo):
+            if count > 2:
+                folds_into.update(dict.fromkeys(tuple(_kids(starts, j))[1:], j))
     acc: dict[int, int] = {}  # wide node -> new index of its folded prefix
-    out_tags, out_tokens, out_kids = [], [], []
+    out_tags, out_tokens, out_starts, out_arity = [], [], [], []
     new: list[int] = []  # new[j - lo]: the new index of node j
 
-    def emit(tag, token, children):
+    def emit(tag, token, left=None):
+        """Append a leaf, or a pair of new node ``left`` and the node before."""
+        out_starts.append(len(out_tags) if left is None else out_starts[left])
         out_tags.append(tag)
         out_tokens.append(token)
-        out_kids.append(children)
+        out_arity.append(0 if left is None else 2)
         return len(out_tags) - 1
 
-    for j in range(lo, hi):
-        ids = [new[k - lo] for k in kids[j]]
-        if not ids:
-            nj = emit(tags[j], tokens[j], ())
-        elif len(ids) == 1:
-            nj = ids[0]
-        elif len(ids) == 2:
-            nj = emit(tags[j], None, tuple(ids))
+    for j, count in enumerate(arity, lo):
+        if not count:
+            nj = emit(tags[j], tokens[j])
+        elif count == 1:
+            nj = new[-1]
+        elif count == 2:
+            nj = emit(tags[j], None, new[starts[j - 1] - 1 - lo])
         elif strategy == "right":
-            right = ids[-1]
-            for left in reversed(ids[1:-1]):
-                right = emit(tags[j] + "*", None, (left, right))
-            nj = emit(tags[j], None, (ids[0], right))
+            ids = [new[k - lo] for k in _kids(starts, j)]  # right to left
+            for left in ids[1:-1]:
+                emit(tags[j] + "*", None, left)
+            nj = emit(tags[j], None, ids[-1])
         else:
-            nj = emit(tags[j], None, (acc.pop(j), ids[-1]))
+            nj = emit(tags[j], None, acc.pop(j))
         new.append(nj)
         parent = folds_into.get(j)
         if parent is not None:
-            acc[parent] = (
-                emit(tags[parent] + "*", None, (acc[parent], nj)) if parent in acc else nj
-            )
-    return ParseTree(tuple(out_tags), tuple(out_tokens), tuple(out_kids), len(out_tags) - 1)
+            acc[parent] = emit(tags[parent] + "*", None, acc[parent]) if parent in acc else nj
+    out = tuple(out_tags), tuple(out_tokens), tuple(out_starts), tuple(out_arity)
+    return ParseTree(*out, len(out_tags) - 1)
 
 
 def _describe(tree: ParseTree, j: int) -> str:
     """Node j of ``tree``'s arrays by its tag and 1-based leaf span."""
-    node = ParseTree(tree._tags, tree._tokens, tree._kids, j)
+    node = tree._node(j)
     before = len(tuple(filter(None, tree._tokens[tree._first() : node._first()])))
     return f"node {node.tag!r} over leaves {before + 1}-{before + len(node.fringe())}"

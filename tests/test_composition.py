@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tripsem import composition
+from tripsem import composition, treeio
 from tripsem.composition import CompositionConfig, compose_pair, compose_tree
 from tripsem.core import (
     FunctionMatrix,
@@ -52,8 +52,8 @@ def balanced_text(subtrees) -> str:
 
 def wide_levels(tree) -> list:
     """The levels ``compose_tree`` runs as stacked steps."""
-    lo, hi = tree._first(), tree._i + 1
-    return composition._wide_levels(tree._kids, lo, bytes(map(len, tree._kids[lo:hi])))[0]
+    lo, starts, arity = treeio._shape(tree)
+    return composition._wide_levels(starts, lo, arity)[0]
 
 
 @pytest.fixture
@@ -183,9 +183,9 @@ def test_compose_pair_and_compose_tree_run_one_step(monkeypatch, not_and_blue):
     calls = []
     step = composition._step
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[-1]())
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(composition, "_step", counted)
     a, b = not_and_blue
@@ -547,7 +547,7 @@ class TestComposeTreeIsTheFold:
         leaves = [j for j, token in enumerate(tree._tokens) if token is not None]
         tokens = list(tree._tokens)
         tokens[leaves[int(rng.integers(300))]] = "not"
-        tree = ParseTree(tree._tags, tuple(tokens), tree._kids, tree._i)
+        tree = ParseTree(tree._tags, tuple(tokens), tree._starts, tree._arity, tree._i)
         assert wide_levels(tree)
         for cfg in (DEFAULT, IMPROVED):
             got = compose_tree(tree, lexicon, cfg)
@@ -578,13 +578,21 @@ def wide_text(cherries: dict, count: int = 32) -> str:
 WIDE_ZERO = wide_text({2: "(B (W nil) (W nil))"})
 WIDE_OVERFLOW = wide_text({5: "(A (W big) (W big))"})
 WIDE_GHOST = wide_text({7: "(S (W one) (W ghost))"})
+def spine_text(cherries: dict, count: int) -> str:
+    """``count`` pairs of ``one`` leaves, pair k replaced by ``cherries[k]``,
+    on a right-branching spine of C nodes: every pair has height 1 and
+    only the lowest C node shares a height, 2, with another node."""
+    pairs = [cherries.get(k, "(S (W one) (W one))") for k in range(count)]
+    return "".join(f"(C {p} " for p in pairs[:-1]) + pairs[-1] + ")" * (count - 1)
+
+
 # T, of height 2, overflows first in post-order and is in the narrow top:
-# the 32 leaves on the right hold 16 nodes of height 1 and 8 of height 2,
-# so with U and T only height 1, 17 nodes wide, is a wide level. A baseline
-# matrix overflow and a Z = 0 pair follow in that level.
+# the 62 leaves on the right are 31 pairs on a spine, so with U height 1,
+# 32 nodes wide, is a wide level and height 2 has only T and one C. A
+# baseline matrix overflow and a Z = 0 pair follow in that level.
 TOP_FIRST = (
     "(R (T (W big) (U (W big) (W one))) "
-    + wide_text({3: "(B (W huge) (W huge))", 9: "(B (W nil) (W nil))"}, 16)
+    + spine_text({3: "(B (W huge) (W huge))", 9: "(B (W nil) (W nil))"}, 31)
     + ")"
 )
 
@@ -665,7 +673,7 @@ class TestRootOnlyFiniteTest:
     def test_the_wide_faults_are_where_they_are_meant_to_be(self, text, inside, outside):
         """Tags of nodes inside and outside the wide levels."""
         tree = parse_bracketed(text)
-        levelled = {tree._tags[j] for nodes, _ in wide_levels(tree) for j in nodes}
+        levelled = {tree._tags[j] for nodes, *_ in wide_levels(tree) for j in nodes}
         assert inside <= levelled
         assert not outside & levelled
 
@@ -749,6 +757,19 @@ def plan_texts() -> list:
     for shape in ("balanced", "random", "caterpillar"):
         texts.append(format_tree(wide_tree(shape, 200, rng, PLAN_WORDS)))
     return texts
+
+
+@pytest.mark.parametrize("count", [31, 32])
+def test_a_tree_batches_from_twice_wide_nodes_of_height_1(count):
+    """The batching edge: 2 WIDE pairs on a spine run as one stacked level,
+    and one pair fewer node by node. Both give the fold's root."""
+    pairs = {k: f"(S (W w{k % 30:02d}) (W w{(k * 7 + 1) % 30:02d}))" for k in range(count)}
+    tree = parse_bracketed(spine_text(pairs, count))
+    batched = count >= 2 * composition.WIDE
+    assert [len(nodes) for nodes, *_ in wide_levels(tree)] == ([count] if batched else [])
+    lexicon = plan_lexicons()[0]
+    for cfg in (DEFAULT, IMPROVED):
+        assert_same_root(compose_tree(tree, lexicon, cfg), fold(tree, lexicon, cfg))
 
 
 class TestPlan:
