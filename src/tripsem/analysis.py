@@ -31,16 +31,15 @@ underlying derivation:
 Unknowns are ordered [vec(M_not) row-major, then v_not]. ``_solve`` finds
 the minimum-norm minimiser without forming the explicit design or the
 normal equations; ``FitResult.solver`` says whether it is unique. It holds
-each M_a once and folds the v_not system into one running triangle: O(S n^2)
-memory for S samples, plus the (rank, n, k) contraction with a v_not null
-space of dimension k.
+each M_a once and folds the v_not system, and the min-norm step's rows,
+each into one running triangle: O(S n^2) memory for S samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -243,6 +242,18 @@ def _lstsq(ab: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return vt.T @ (u.T @ r[:, -1] / s), null
 
 
+def _triangle(blocks, width: int) -> np.ndarray:
+    """The R of a QR of the rows of ``blocks``, each (rows, width), folded
+    into one running triangle 16 triangles' rows at a time: refactoring the
+    triangle adds 1/16, and no more rows than that are held at once."""
+    rows = [np.empty((0, width))]
+    for block in blocks:
+        rows.append(block)
+        if len(rows) * len(block) >= 16 * width:
+            rows = [np.linalg.qr(np.vstack(rows), mode="r")]
+    return np.linalg.qr(np.vstack(rows), mode="r") if len(rows) > 1 else rows[0]
+
+
 def _solve(
     w: np.ndarray, ma: np.ndarray, t: np.ndarray, c: float
 ) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -267,26 +278,32 @@ def _solve(
     # U^T M_a[:, i, :] z is (u_pairs.T @ (ma @ z))[:, i], U^T t[..., i] is
     # y[:, i]: a sample's two value rows meet the same M_a, so its rows of U add
     u_pairs, y = u[:k:2] + u[1:k:2], u[:k].T @ t.reshape(k, n)
-    rows = [np.empty((0, n + 1))]  # the running triangle, then rows to fold in
-    for i in range(n):
-        # what U leaves of [M_a[:, i, :] | t[..., i]]
+
+    def value_rows(i: int) -> np.ndarray:
+        """What U leaves of [M_a[:, i, :] | t[..., i]]."""
         left = -u @ np.column_stack([u_pairs.T @ ma[:, i], y[:, i]])
-        value_rows = left[:k].reshape(-1, 2, n + 1)  # a view, by sample
-        value_rows[..., :n] += ma[:, i, None]
-        value_rows[..., n] += t[..., i]
-        # fold 16 triangles' rows at a time: refactoring the triangle adds 1/16
-        rows.append(left)
-        if len(rows) * len(left) >= 16 * (n + 1) or i == n - 1:
-            rows = [np.linalg.qr(np.vstack(rows), mode="r")]
+        by_sample = left[:k].reshape(-1, 2, n + 1)  # a view
+        by_sample[..., :n] += ma[:, i, None]
+        by_sample[..., n] += t[..., i]
+        return left
+
     # |M_a| over the 2S rows; einsum, as OpenBLAS threads np.linalg.norm's dot
-    v, v_null = _lstsq(rows[0], math.sqrt(2 * np.einsum("rij,rij->", ma, ma)))
+    scale = math.sqrt(2 * np.einsum("rij,rij->", ma, ma))
+    v, v_null = _lstsq(_triangle(map(value_rows, range(n)), n + 1), scale)
     if v_null.shape[1]:
         # |M|_F = |(y - U^T M_a v) / s| = |e - d z| at v + v_null z, and v is
-        # orthogonal to v_null: minimise |e - d z|^2 + |z|^2
+        # orthogonal to v_null: minimise |e - d z|^2 + |z|^2, the rows of
+        # [d | e] made for a block of i at a time
         k_null = v_null.shape[1]
-        d = (u_pairs.T @ (ma @ v_null).reshape(len(ma), -1) / s[:, None]).reshape(-1, k_null)
-        e = ((y - u_pairs.T @ (ma @ v)) / s[:, None]).reshape(-1, 1)
-        z, _ = _lstsq(np.vstack([np.hstack([d, e]), np.eye(k_null, k_null + 1)]), 1.0)
+        e = (y - u_pairs.T @ (ma @ v)) / s[:, None]
+        step = max(1, 16 * (k_null + 1) // len(s))
+
+        def null_rows(i: int) -> np.ndarray:
+            d = u_pairs.T @ (ma[:, i : i + step] @ v_null).reshape(len(ma), -1) / s[:, None]
+            return np.hstack([d.reshape(-1, k_null), e[:, i : i + step].reshape(-1, 1)])
+
+        blocks = chain(map(null_rows, range(0, n, step)), [np.eye(k_null, k_null + 1)])
+        z, _ = _lstsq(_triangle(blocks, k_null + 1), 1.0)
         v = v + v_null @ z
     m = ((y - u_pairs.T @ (ma @ v)) / s[:, None]).T @ vt
     return m, v, not (w_null.shape[1] or v_null.shape[1])
