@@ -230,28 +230,20 @@ def _rank_svd(
     return u[:, :rank], s[:rank], vt[:rank], vt[rank:].T
 
 
-def _lstsq(ab: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm least-squares solution of a x = b, for ab = [a | b],
-    and the null space of ``a``, under the RANK_TOL * ``scale`` cut.
-
-    A QR step first reduces the rows to a triangle of the columns' size,
-    so only that triangle is decomposed.
-    """
-    r = np.linalg.qr(ab, mode="r")
-    u, s, vt, null = _rank_svd(r[:, :-1], scale)
-    return vt.T @ (u.T @ r[:, -1] / s), null
-
-
-def _triangle(blocks, width: int) -> np.ndarray:
-    """The R of a QR of the rows of ``blocks``, each (rows, width), folded
-    into one running triangle 16 triangles' rows at a time: refactoring the
-    triangle adds 1/16, and no more rows than that are held at once."""
+def _lstsq(blocks, width: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solution of a x = b, for the rows [a | b]
+    of ``blocks``, each (rows, width), and the null space of ``a``, under
+    the RANK_TOL * ``scale`` cut. QR folds the rows into one running
+    triangle, 16 triangles' rows at a time, which adds 1/16 to the work and
+    bounds the rows held; only the triangle is decomposed."""
     rows = [np.empty((0, width))]
     for block in blocks:
         rows.append(block)
         if len(rows) * len(block) >= 16 * width:
             rows = [np.linalg.qr(np.vstack(rows), mode="r")]
-    return np.linalg.qr(np.vstack(rows), mode="r") if len(rows) > 1 else rows[0]
+    r = np.linalg.qr(np.vstack(rows), mode="r")
+    u, s, vt, null = _rank_svd(r[:, :-1], scale)
+    return vt.T @ (u.T @ r[:, -1] / s), null
 
 
 def _solve(
@@ -279,21 +271,17 @@ def _solve(
     # y[:, i]: a sample's two value rows meet the same M_a, so its rows of U add
     u_pairs, y = u[:k:2] + u[1:k:2], u[:k].T @ t.reshape(k, n)
 
-    def value_rows(i: int) -> np.ndarray:
-        """What U leaves of [M_a[:, i, :] | t[..., i]]."""
+    def value_rows(i: int) -> np.ndarray:  # what U leaves of [M_a[:, i, :] | t[..., i]]
         left = -u @ np.column_stack([u_pairs.T @ ma[:, i], y[:, i]])
-        by_sample = left[:k].reshape(-1, 2, n + 1)  # a view
-        by_sample[..., :n] += ma[:, i, None]
-        by_sample[..., n] += t[..., i]
+        left[:k] += np.column_stack([np.repeat(ma[:, i], 2, axis=0), t[..., i].reshape(k)])
         return left
 
     # |M_a| over the 2S rows; einsum, as OpenBLAS threads np.linalg.norm's dot
     scale = math.sqrt(2 * np.einsum("rij,rij->", ma, ma))
-    v, v_null = _lstsq(_triangle(map(value_rows, range(n)), n + 1), scale)
+    v, v_null = _lstsq(map(value_rows, range(n)), n + 1, scale)
     if v_null.shape[1]:
         # |M|_F = |(y - U^T M_a v) / s| = |e - d z| at v + v_null z, and v is
-        # orthogonal to v_null: minimise |e - d z|^2 + |z|^2, the rows of
-        # [d | e] made for a block of i at a time
+        # orthogonal to v_null: minimise |e - d z|^2 + |z|^2, by blocks of i
         k_null = v_null.shape[1]
         e = (y - u_pairs.T @ (ma @ v)) / s[:, None]
         step = max(1, 16 * (k_null + 1) // len(s))
@@ -303,7 +291,7 @@ def _solve(
             return np.hstack([d.reshape(-1, k_null), e[:, i : i + step].reshape(-1, 1)])
 
         blocks = chain(map(null_rows, range(0, n, step)), [np.eye(k_null, k_null + 1)])
-        z, _ = _lstsq(_triangle(blocks, k_null + 1), 1.0)
+        z, _ = _lstsq(blocks, k_null + 1, 1.0)
         v = v + v_null @ z
     m = ((y - u_pairs.T @ (ma @ v)) / s[:, None]).T @ vt
     return m, v, not (w_null.shape[1] or v_null.shape[1])

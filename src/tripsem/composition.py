@@ -43,8 +43,7 @@ __all__ = ["CompositionConfig", "compose_pair", "compose_tree"]
 
 MODELS = ("baseline", "improved")
 # compose_tree runs a level of at least WIDE nodes of equal height as one
-# stacked step, CHUNK nodes at a time, which bounds the gathered copies, in
-# a tree of at least 2 WIDE nodes of height 1.
+# stacked step, CHUNK nodes at a time, which bounds the gathered copies.
 WIDE = 16
 CHUNK = 128
 
@@ -63,13 +62,12 @@ class CompositionConfig:
 def _step(va, ma, aa, vb, mb, ab, baseline: bool, where, top=max) -> tuple:
     """The composition step on plain arrays: the parent's (v, M, alpha).
 
-    One node is v (n,), M (n, n) and float alphas. A stack of k nodes is
-    v (k, n, 1), M (k, n, n) and alphas (k, 1, 1), with ``top=np.maximum``,
-    under the same rules, bit for bit; a stack leaves a Z = 0 weight as NaN
-    in M, for the caller's finiteness test to find, where float alphas
-    raise. ``where()`` names the step, only to word an error. Callers test
-    the parent with ``_check_finite`` and hold numpy's overflow and
-    invalid-value warnings off."""
+    One node is v (n,), M (n, n) and float alphas. A stack of k nodes is v
+    (k, n, 1), M (k, n, n) and alphas (k, 1, 1), with ``top=np.maximum``: the
+    same bits, but a Z = 0 weight is left as NaN in M for the caller's
+    finiteness test. ``where()`` names the step, only to word an error.
+    Callers test the parent with ``_check_finite`` and hold numpy's overflow
+    and invalid-value warnings off."""
     v = ma @ vb + mb @ va
     if baseline:
         m = ma + mb
@@ -120,24 +118,21 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
 
 def _wide_levels(starts, lo: int, arity: bytes) -> tuple:
     """The bottom levels, of at least ``WIDE`` nodes each, of the binary tree
-    whose nodes from lo on have the subtree starts ``starts[lo:]`` and the
-    child counts ``arity``, 0 or 2 each.
+    whose nodes from lo on have the starts ``starts[lo:]`` and the child
+    counts ``arity``, 0 or 2 each.
 
-    Level h is the internal nodes of height h, as the indices (k,) of the
-    nodes, of their left children and of their right children; every child
-    is a leaf or in a lower level.
-    Also returns the post-order in which the fold visits the rest: the
-    top's nodes and the leaves and level roots they take. Indices count
-    from lo."""
+    Level h is the internal nodes of height h, as the indices (k,) of them
+    and of their left and right children; every child is a leaf or in a
+    lower level. Also returns the post-order in which the fold visits the
+    rest: the top's nodes and the leaves and level roots they take. Indices
+    count from lo."""
     # in post-order, each node of height 1 is the run: leaf, leaf, node; a
     # tree of fewer than 2 WIDE such nodes composes faster node by node
     if arity.count(b"\0\0\2") < 2 * WIDE:
         return [], None
     arity = np.frombuffer(arity, np.uint8)
     inner = np.flatnonzero(arity)
-    # a node's right child is the node before it, and its left child the
-    # node before the right child's subtree
-    right = inner - 1
+    right = inner - 1  # and the left child ends where the right one starts
     left = np.fromiter(starts[lo : lo + len(arity)], np.intp, len(arity))[right] - (lo + 1)
     done = arity == 0  # nodes below the level being found
     levels = []
@@ -154,30 +149,28 @@ def _wide_levels(starts, lo: int, arity: bytes) -> tuple:
 
 def _plan(tree: ParseTree) -> tuple:
     """What composing ``tree`` needs that no lexicon changes, as the tuple
-    (leaves, steps, top, roots, phrase): the unique leaf tokens, which
-    take the first rows of the results; each stacked step as
-    (out, a, b, where), the rows of its results and of their children; the
-    nodes the fold visits, in its order, each with its token or, for a
-    level root, its row (None when the fold visits every node); the level
-    roots' rows; and the root's token. Raises ``TreeArityError`` unless
-    every node has 0 or 2 children."""
+    (leaves, steps, top, roots, phrase): the unique leaf tokens, which take
+    the first rows of the results; each stacked step as (out, a, b, where),
+    the rows of its results and of their children; the nodes the fold
+    visits, in order, each with its token or a level root's row (None if it
+    visits all); the level roots' rows; and the root's token. Raises
+    ``TreeArityError`` unless every node has 0 or 2 children."""
     tokens = tree._tokens
     lo, starts, arity = _shape(tree)
-    hi = lo + len(arity)
     if arity.translate(None, b"\0\2"):
         wide = tree._node(lo + len(arity) - len(arity.lstrip(b"\0\2")))
         raise TreeArityError(
             f"node {wide.tag!r} has {len(wide.children)} children; "
             "composition needs a binary tree (binarize first)"
         )
-    fringe = tuple(filter(None, tokens[lo:hi]))
+    fringe = tuple(filter(None, tokens[lo : lo + len(arity)]))
     phrase = " ".join(fringe)
     levels, order = _wide_levels(starts, lo, arity)
     if not levels:
         return (), [], None, (), phrase
     leaf_rows = {t: r for r, t in enumerate(dict.fromkeys(fringe))}
     # row[j]: the row of node lo + j in the results, -1 for a top node
-    row = np.full(hi - lo, -1)
+    row = np.full(len(arity), -1)
     row[np.frombuffer(arity, np.uint8) == 0] = list(map(leaf_rows.get, fringe))
     steps, end = [], len(leaf_rows)
     for height, (nodes, left, right) in enumerate(levels, 1):
@@ -204,18 +197,18 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     two children. The tree must already be binary (see ``treeio.binarize``).
 
     Nodes of equal height never depend on each other, and levels only
-    narrow going up. Each bottom level of at least ``WIDE`` nodes runs as
-    one stacked step, ``CHUNK`` nodes at a time, into one results array per
-    tree: the unique leaf entries, then the levels' nodes, about 8 n^2 bytes
-    per node (2.1 MB for a balanced 4096-leaf tree at n = 8). A tree of
-    fewer than ``2 * WIDE`` nodes of height 1, as any chain or tree of
-    under 64 leaves, has no such level. The narrow top is a loop
-    over the post-order arrays with a stack of plain (v, M, alpha) arrays: a
-    leaf or a level's root pushes its arrays, an internal node replaces its
-    two children by the step ``compose_pair`` runs. A stack of nodes gives
-    the same bits as one node, so the root is bit for bit the post-order
-    fold of ``compose_pair``, token for token. A leaf root is its lexicon
-    entry, any other a new ``LexicalEntry`` named ``" ".join(tree.fringe())``.
+    narrow going up. In a tree of at least ``2 * WIDE`` nodes of height 1
+    (so no chain, nor any tree of under 64 leaves), each bottom level of at
+    least ``WIDE`` nodes runs as one stacked step, ``CHUNK`` nodes at a
+    time, into one results array: the unique leaf entries, then the levels'
+    nodes, about 8 n^2 bytes per node (2.1 MB for a balanced 4096-leaf tree
+    at n = 8). The narrow top is a loop over the post-order arrays with a
+    stack of plain (v, M, alpha) arrays: a leaf or a level's root pushes
+    its arrays, an internal node replaces its two children by the step
+    ``compose_pair`` runs. A stack of nodes gives the same bits as one
+    node, so the root is bit for bit the post-order fold of
+    ``compose_pair``, token for token. A leaf root is its lexicon entry,
+    any other a new ``LexicalEntry`` named ``" ".join(tree.fringe())``.
 
     What does not depend on the lexicon (the arity check, the levels and
     their rows, the unique leaves, the fold's order, the root's token) is
@@ -223,7 +216,7 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     compose has succeeded; later calls on the same object, under either
     model or another lexicon, only look up the leaves, run the steps and
     fold the top. The plan of a balanced 4096-leaf tree of 6-letter words
-    holds about 115 KB: 65 KB of row indices and the 29 KB root token.
+    holds about 114 KB: 65 KB of row indices and the 29 KB root token.
 
     Arity is checked first, over the whole tree: the first node in
     post-order with other than two children raises ``TreeArityError``
@@ -263,9 +256,7 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
         return {r: (vs[r, :, 0], ms[r], float(alphas[r, 0, 0])) for r in roots}
 
     def fold(order, tokens, leaves: dict, checked: bool) -> tuple:
-        """The post-order fold over ``order``; ``tokens[j]`` is node j's
-        token, or the row of a level root, whose arrays ``leaves`` holds."""
-
+        # tokens[j]: node j's token, or a level root's row, a key of leaves
         def where() -> str:  # reads the loop's j: the node being composed
             return _describe(tree, j)
 

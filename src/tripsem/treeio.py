@@ -8,15 +8,13 @@ by blank lines, and its lines break only at ``\n``, ``\r\n`` and ``\r``:
 ``\x85``, form feed and U+2028 are spaces inside a line.
 
 A tree is stored flat, in post-order: per node a tag, a token (None for an
-internal node), its subtree's start (the index of its leftmost leaf) and
-its child count. Every subtree is then the run of indices from its start
-to its root, its leaves appear left to right, a node's last child is the
-node before it and each earlier child ends where the next one starts, and
-the arrays read as the shift-reduce sequence that ``compose_tree``
-evaluates with one stack. ``ParseTree`` is a read-only view of one node of
-such arrays. The parser, ``binarize``, ``format_tree``, equality and
-hashing are loops over the arrays; none recurses, so depth is bounded by
-memory alone.
+internal node), its start (the index of its leftmost leaf) and its child
+count. A subtree runs from its start to its root, a node's last child is
+the node before it and each earlier one ends where the next starts, and
+the arrays read as the shift-reduce sequence that ``compose_tree`` runs.
+``ParseTree`` is a read-only view of one node of such arrays. The parser,
+``binarize``, ``format_tree``, equality and hashing are loops over the
+arrays; none recurses, so depth is bounded by memory alone.
 
 Composition is strictly pairwise, so n-ary trees must be binarized first.
 ``binarize`` collapses unary chains into their child (keeping the lower tag;
@@ -64,18 +62,13 @@ class ParseTree:
         tags, tokens, starts, arity, count = [], [], [], [], 0
         for count, child in enumerate(children, 1):
             lo, hi = child._first(), child._i + 1
-            shift = len(tags) - lo
+            starts += [s + len(tags) - lo for s in child._starts[lo:hi]]
             tags += child._tags[lo:hi]
             tokens += child._tokens[lo:hi]
-            starts += [s + shift for s in child._starts[lo:hi]]
             arity += child._arity[lo:hi]
         if not tags:
             raise ValueError("a node needs at least one child")
-        tags.append(tag)
-        tokens.append(None)
-        starts.append(0)
-        arity.append(count)
-        return cls(tuple(tags), tuple(tokens), tuple(starts), tuple(arity), len(tags) - 1)
+        return cls((*tags, tag), (*tokens, None), (*starts, 0), (*arity, count), len(tags))
 
     @property
     def tag(self) -> str:
@@ -87,7 +80,11 @@ class ParseTree:
 
     @property
     def children(self) -> tuple["ParseTree", ...]:
-        return tuple(map(self._node, reversed(tuple(_kids(self._starts, self._i)))))
+        kids, k = [], self._i - 1
+        while k >= self._first():
+            kids.append(self._node(k))
+            k = self._starts[k] - 1
+        return tuple(reversed(kids))
 
     @property
     def is_leaf(self) -> bool:
@@ -122,19 +119,10 @@ class ParseTree:
         return f"<ParseTree {format_tree(self)}>"
 
 
-def _kids(starts, j: int):
-    """The children of node j, right to left: the last is node j - 1, and
-    each earlier one ends right before the start of the next."""
-    k, lo = j - 1, starts[j]
-    while k >= lo:
-        yield k
-        k = starts[k] - 1
-
-
 def _shape(tree: ParseTree) -> tuple[int, tuple, bytes]:
-    """(lo, starts, arity): ``tree``'s nodes are lo to lo + len(arity) - 1 of
-    its arrays, in post-order; node j's subtree is nodes starts[j] to j, and
-    arity[j - lo] is its child count as a byte, 255 for 255 or more."""
+    """(lo, starts, arity): ``tree`` is nodes lo to lo + len(arity) - 1 of its
+    arrays; node j's subtree is nodes starts[j] to j, and arity[j - lo] its
+    child count as a byte, 255 for 255 or more."""
     lo = tree._first()
     counts = tree._arity[lo : tree._i + 1]
     try:
@@ -144,36 +132,30 @@ def _shape(tree: ParseTree) -> tuple[int, tuple, bytes]:
 
 
 def format_tree(tree: ParseTree) -> str:
-    """Canonical single-space bracketed rendering, in one loop over a stack."""
+    """Canonical single-space bracketed rendering, in one pass over the
+    nodes: a leaf opens the nodes that start at it, and a node closes."""
     tags, tokens, starts = tree._tags, tree._tokens, tree._starts
+    lo, hi = tree._first(), tree._i + 1
+    opens: dict[int, list] = {}  # leaf -> the tags of the nodes starting there
+    for j in range(hi - 1, lo - 1, -1):  # outermost first
+        if tokens[j] is None:
+            opens.setdefault(starts[j], []).append(f"({tags[j]} ")
     out = []
-    todo: list = [tree._i]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif tokens[item] is not None:
-            out.append(f"({tags[item]} {tokens[item]})")
-        else:
-            out.append("(" + tags[item])
-            todo.append(")")
-            for k in _kids(starts, item):
-                todo += (k, " ")
-    return "".join(out)
+    for j in range(lo, hi):
+        token = tokens[j]
+        out.append(")" if token is None else f" {''.join(opens.get(j, ()))}({tags[j]} {token})")
+    return "".join(out)[1:]
 
 
 def _error(span: tuple, message: str, k: int, end: bool = False) -> TreeParseError:
     """The error at the start (or end) of the k-th of the tokens ``toks`` of the
-    span ``(text, pos, endpos, toks)``, or at ``endpos`` past the last, where
-    empty strings pad ``toks``. Only whitespace lies between tokens, so each
-    is found in the text after the last."""
+    span ``(text, pos, endpos, toks)``, or at ``endpos`` if it is the padding
+    "". Only whitespace lies between tokens, so each is found after the last."""
     text, pos, endpos, toks = span
-    if k >= len(toks) or not toks[k]:
-        return TreeParseError(message, endpos)
     for tok in toks[: k + 1]:
         start = text.index(tok, pos, endpos)
         pos = start + len(tok)
-    return TreeParseError(message, pos if end else start)
+    return TreeParseError(message, endpos if not toks[k] else pos if end else start)
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -187,22 +169,18 @@ def _parse(text: str, pos: int, endpos: int) -> ParseTree:
     One loop over the tokens; a well-formed leaf ``( TAG tok )`` is taken
     in one step, and the k-th token of an error is found again by ``_error``."""
     toks = text[pos:endpos].replace("(", " ( ").replace(")", " ) ").split()
-    count = len(toks)
     toks += ("", "", "")  # so the tests below look ahead without a bounds test
     span = (text, pos, endpos, toks)
     if toks[0] != "(":
         raise _error(span, "expected '('", 0)
     tags, tokens, starts, arity = [], [], [], []
-    # One (tag, start) per open node, and its child count so far in counts
-    opened: list[tuple[str, int]] = []
-    counts: list[int] = []
+    opened: list[tuple[str, int]] = []  # (tag, start) per open node
     bare: dict[int, list[int]] = {}  # depth -> indices of its open node's bare tokens
     i = 0
     while True:
         tok = toks[i]
         if tok == "(":
-            # a token containing a paren is one paren, so `in "()"` tests for
-            # one; the empty string past the end is in "()" too
+            # a token holding a paren is one paren, and "" pads the end: both are in "()"
             if toks[i + 1] in "()":
                 raise _error(span, "missing tag after '('", i + 1)
             if toks[i + 3] == ")" and toks[i + 2] not in "()":
@@ -213,14 +191,15 @@ def _parse(text: str, pos: int, endpos: int) -> ParseTree:
                 i += 4
             else:
                 opened.append((toks[i + 1], len(tags)))
-                counts.append(0)
                 i += 2
                 continue
         elif tok == ")":
             # a node of one bare token is a leaf, which the branch above took
             mine = bare and bare.get(len(opened))
             tag, start = opened.pop()
-            children = counts.pop()
+            k, children = len(tags) - 1, 0
+            while k >= start:  # hop back over the node's children
+                k, children = starts[k] - 1, children + 1
             if mine:
                 if children:
                     raise _error(span, "node mixes bare tokens with subtrees", mine[0], end=True)
@@ -238,11 +217,9 @@ def _parse(text: str, pos: int, endpos: int) -> ParseTree:
             continue
         else:
             raise _error(span, "unbalanced brackets: unexpected end of input", i)
-        # node len(tags) - 1 is complete
-        if not opened:
+        if not opened:  # the root is complete
             break
-        counts[-1] += 1
-    if i < count:
+    if toks[i]:
         raise _error(span, "trailing content after tree", i)
     return ParseTree(tuple(tags), tuple(tokens), tuple(starts), tuple(arity), len(tags) - 1)
 
@@ -272,10 +249,11 @@ def binarize(tree: ParseTree, strategy: str = "right") -> ParseTree:
     the parent tag suffixed with ``*``. The leaf sequence is preserved and
     the transform is idempotent.
 
-    One forward pass over the post-order arrays maps each node to its index
-    in the new arrays. A right fold appends its introduced nodes after the
-    wide node's children; a left fold appends each one right after the
-    child it takes in, so the new arrays are in post-order too.
+    One forward pass over the post-order arrays writes the new ones; a new
+    node starts at the new index of an old leaf. A right fold appends its
+    introduced nodes after the wide node's children; a left fold appends
+    each one right after the child it takes in, so the new arrays are in
+    post-order too.
     """
     if strategy not in ("right", "left"):
         raise ValueError(f"strategy must be 'right' or 'left', got {strategy!r}")
@@ -283,44 +261,24 @@ def binarize(tree: ParseTree, strategy: str = "right") -> ParseTree:
     if not arity.translate(None, b"\0\2"):
         return tree
     tags, tokens = tree._tags, tree._tokens
-    # Left fold: each child of a wide node but its last -> that node.
-    folds_into = {}
-    if strategy == "left":
-        for j, count in enumerate(arity, lo):
-            if count > 2:
-                folds_into.update(dict.fromkeys(tuple(_kids(starts, j))[1:], j))
-    acc: dict[int, int] = {}  # wide node -> new index of its folded prefix
-    out_tags, out_tokens, out_starts, out_arity = [], [], [], []
-    new: list[int] = []  # new[j - lo]: the new index of node j
-
-    def emit(tag, token, left=None):
-        """Append a leaf, or a pair of new node ``left`` and the node before."""
-        out_starts.append(len(out_tags) if left is None else out_starts[left])
-        out_tags.append(tag)
-        out_tokens.append(token)
-        out_arity.append(0 if left is None else 2)
-        return len(out_tags) - 1
-
+    # Left fold: each child of a wide node but its first and last -> that node.
+    wide = [j for j, count in enumerate(arity, lo) if count > 2] if strategy == "left" else []
+    folds_into = {child._i: j for j in wide for child in tree._node(j).children[1:-1]}
+    out = []  # (tag, token, start, arity) per new node
+    new = {}  # leaf -> its new index
     for j, count in enumerate(arity, lo):
         if not count:
-            nj = emit(tags[j], tokens[j])
-        elif count == 1:
-            nj = new[-1]
-        elif count == 2:
-            nj = emit(tags[j], None, new[starts[j - 1] - 1 - lo])
-        elif strategy == "right":
-            ids = [new[k - lo] for k in _kids(starts, j)]  # right to left
-            for left in ids[1:-1]:
-                emit(tags[j] + "*", None, left)
-            nj = emit(tags[j], None, ids[-1])
-        else:
-            nj = emit(tags[j], None, acc.pop(j))
-        new.append(nj)
-        parent = folds_into.get(j)
-        if parent is not None:
-            acc[parent] = emit(tags[parent] + "*", None, acc[parent]) if parent in acc else nj
-    out = tuple(out_tags), tuple(out_tokens), tuple(out_starts), tuple(out_arity)
-    return ParseTree(*out, len(out_tags) - 1)
+            new[j] = len(out)
+            out.append((tags[j], tokens[j], len(out), 0))
+        elif count > 1:  # a unary node collapses into its child
+            if strategy == "right":
+                for child in tree._node(j).children[-2:0:-1]:
+                    out.append((tags[j] + "*", None, new[child._first()], 2))
+            out.append((tags[j], None, new[starts[j]], 2))
+        if j in folds_into:
+            parent = folds_into[j]
+            out.append((tags[parent] + "*", None, new[starts[parent]], 2))
+    return ParseTree(*zip(*out), len(out) - 1)
 
 
 def _describe(tree: ParseTree, j: int) -> str:
