@@ -20,6 +20,8 @@ REPORTS = ROOT / "tests" / "fixtures" / "reports"
 LEX = ["--lexicon", "tests/fixtures/demo.lex"]
 TREE = "tests/fixtures/figure3.tree"
 WIDE = "tests/fixtures/wide.tree"
+# a balanced tree of 1024 words beside a chain of 300: batched levels and a long fold
+BIG = "tests/fixtures/big.tree"
 # figure3.tree spaced with tabs, CRLF and U+3000: the same report bar its tree line
 SPACED = "tests/fixtures/spaced.tree"
 # figure3.tree with \x85, U+2028, form feeds and the like between constituents,
@@ -36,6 +38,8 @@ COMMANDS = {
     "compose_improved_left": [*COMPOSE, "--model", "improved", "--binarize", "left"],
     "compose_baseline_wide": ["compose", *LEX, "--tree", WIDE, "--model", "baseline"],
     "compose_improved_wide": ["compose", *LEX, "--tree", WIDE, "--model", "improved"],
+    "compose_baseline_big": ["compose", *LEX, "--tree", BIG, "--model", "baseline"],
+    "compose_improved_big": ["compose", *LEX, "--tree", BIG, "--model", "improved"],
     "compose_baseline_spaced": ["compose", *LEX, "--tree", SPACED, "--model", "baseline"],
     "compose_improved_spaced": ["compose", *LEX, "--tree", SPACED, "--model", "improved"],
     "compose_baseline_breaks": ["compose", *LEX, "--tree", BREAKS, "--model", "baseline"],

@@ -1,7 +1,7 @@
 """Bracketed tree parsing, printing, and binarization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripsem.errors import TreeParseError
@@ -349,3 +349,233 @@ class TestDeepTrees:
         assert "(U " not in text
         assert text.count("(X ") == self.DEPTH // 2
         assert binarize(binary, strategy) == binary
+
+
+# A reference model of n-ary trees that never reads the flat storage: a leaf
+# is (tag, token) and a node is (tag, [children]); every walk below keeps
+# an explicit stack, so a 10^5-deep chain goes through it too.
+REF_TAGS = st.sampled_from(["S", "NP", "VP", "X"])
+REF_TOKENS = st.sampled_from(["a", "b", "c", "not"])
+ref_trees = st.recursive(
+    st.tuples(REF_TAGS, REF_TOKENS),
+    lambda kids: st.tuples(REF_TAGS, st.lists(kids, min_size=1, max_size=5)),
+    max_leaves=40,
+)
+
+
+def ref_post_order(ref) -> list:
+    """(tag, token, children, start) per node in post-order, start being the
+    post-order index of the node's leftmost leaf."""
+    out, todo = [], [(ref, False)]
+    while todo:
+        node, done = todo.pop()
+        if isinstance(node[1], str):
+            out.append((node[0], node[1], 0, len(out)))
+        elif done:
+            first = out[-1][3]  # the last child's, then walk to the first child
+            for _ in node[1][1:]:
+                first = out[first - 1][3]
+            out.append((node[0], None, len(node[1]), first))
+        else:
+            todo.append((node, True))
+            todo += ((child, False) for child in reversed(node[1]))
+    return out
+
+
+def ref_text(ref) -> str:
+    out, todo = [], [ref]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node[1], str):
+            out.append(f"({node[0]} {node[1]})")
+        else:
+            out.append(f"({node[0]}")
+            todo.append(")")
+            for child in reversed(node[1]):
+                todo += (child, " ")
+    return "".join(out)
+
+
+def ref_fold(nodes, leaf, node):
+    """Build bottom-up from a post-order list: leaf(tag, token) and
+    node(tag, children) make each node."""
+    built: list = []
+    for tag, token, children, _ in nodes:
+        if token is not None:
+            built.append(leaf(tag, token))
+        else:
+            kids = built[len(built) - children :]
+            del built[len(built) - children :]
+            built.append(node(tag, kids))
+    return built[0]
+
+
+def ref_build(ref) -> ParseTree:
+    """The tree built bottom-up with ParseTree.leaf and ParseTree.node."""
+    return ref_fold(ref_post_order(ref), ParseTree.leaf, ParseTree.node)
+
+
+def ref_views(tree, ref):
+    """Each node of ``tree``, by its public API, beside its reference node
+    and that node's post-order index."""
+    nodes = ref_post_order(ref)
+    pairs, todo = [], [(tree, len(nodes) - 1)]
+    while todo:
+        view, j = todo.pop()
+        pairs.append((view, nodes[j], j))
+        # node j's last child is j - 1, and each earlier one ends where the next starts
+        kids, k = [], j - 1
+        for _ in range(nodes[j][2]):
+            kids.append(k)
+            k = nodes[k][3] - 1
+        todo += zip(view.children, reversed(kids))
+    return pairs
+
+
+def assert_views_agree(tree, ref) -> None:
+    nodes = ref_post_order(ref)
+    leaves = [t for _, t, _, _ in nodes]
+    for view, (tag, token, children, start), j in ref_views(tree, ref):
+        assert (view.tag, view.token, view.is_leaf) == (tag, token, token is not None)
+        assert len(view.children) == children
+        assert view._i == j and view._first() == start
+        if j == len(nodes) - 1 or children > 2:  # a fringe costs its size
+            assert view.fringe() == tuple(filter(None, leaves[start : j + 1]))
+
+
+class TestStorageProperties:
+    """The flat storage (subtree starts and child counts) against the
+    reference model, over random n-ary trees with unary chains."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ref_trees)
+    def test_views_agree_with_the_reference_walk(self, ref):
+        assert_views_agree(parse_bracketed(ref_text(ref)), ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ref_trees)
+    def test_text_round_trips_and_node_builds_the_parsed_tree(self, ref):
+        tree = parse_bracketed(ref_text(ref))
+        assert format_tree(tree) == ref_text(ref)
+        assert parse_bracketed(format_tree(tree)) == tree
+        built = ref_build(ref)
+        assert built == tree and hash(built) == hash(tree)
+        assert format_tree(built) == ref_text(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ref_trees)
+    def test_a_subtree_view_equals_its_own_parse(self, ref):
+        tree = parse_bracketed(ref_text(ref))
+        for view, _, _ in ref_views(tree, ref):
+            alone = parse_bracketed(format_tree(view))
+            assert view == alone and hash(view) == hash(alone)
+            assert view.fringe() == alone.fringe()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ref_trees, st.sampled_from(["right", "left"]))
+    def test_binarize_is_idempotent_and_binary(self, ref, strategy):
+        tree = parse_bracketed(ref_text(ref))
+        binary = binarize(tree, strategy)
+        assert binarize(binary, strategy) == binary
+        assert binarize(ref_build(ref), strategy) == binary
+        assert binary.fringe() == tree.fringe()
+        todo = [binary]
+        while todo:
+            kids = todo.pop().children
+            assert len(kids) in (0, 2)
+            todo += kids
+
+    @settings(max_examples=150, deadline=None)
+    @given(ref_trees, st.data())
+    def test_a_tree_differing_in_one_tag_is_unequal(self, ref, data):
+        nodes = ref_post_order(ref)
+        j = data.draw(st.integers(0, len(nodes) - 1))
+        retagged = [(tag + "x" if k == j else tag, *rest) for k, (tag, *rest) in enumerate(nodes)]
+        tree = parse_bracketed(ref_text(ref))
+        other = parse_bracketed(ref_text(ref_fold(retagged, lambda *a: a, lambda t, c: (t, c))))
+        assert other != tree and other.fringe() == tree.fringe()
+        wrapped = ParseTree.node("S", [tree])  # one more level: another arity
+        assert wrapped != tree and wrapped.children[0] == tree
+
+
+def wide_ref(width: int):
+    """A node of ``width`` leaves between two leaves, under a unary chain."""
+    middle = ("X", [("W", f"w{k}") for k in range(width)])
+    return ("R", [("U", [("S", [("A", "a"), middle, ("B", "b")])])])
+
+
+def deep_ref(depth: int, shape: str):
+    """A chain ``depth`` levels deep: left- or right-branching pairs, or
+    unary nodes over one leaf."""
+    ref = ("W", "end")
+    for k in range(depth):
+        leaf = ("W", f"w{k % 7}")
+        ref = ("U", [ref]) if shape == "unary" else ("X", [ref, leaf] if shape == "left" else [leaf, ref])
+    return ref
+
+
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        ("(R (X (W a) (W b)))", "(R (W a) (X (W b)))"),
+        ("(R (X (W a) (W b)) (W c))", "(R (W a) (X (W b)) (W c))"),
+        ("(R (X (X (W a) (W b))))", "(R (W a) (X (X (W b))))"),
+    ],
+)
+def test_one_post_order_of_labels_in_two_shapes_is_two_trees(one, other):
+    """Tags and tokens in post-order alone do not fix a tree: the child
+    counts tell these apart."""
+    a, b = parse_bracketed(one), parse_bracketed(other)
+    assert [(t.tag, t.token) for t in post_order_views(a)] == [
+        (t.tag, t.token) for t in post_order_views(b)
+    ]
+    assert a != b and format_tree(a) == one and format_tree(b) == other
+
+
+def post_order_views(tree) -> list:
+    out, todo = [], [(tree, False)]
+    while todo:
+        node, done = todo.pop()
+        if done or node.is_leaf:
+            out.append(node)
+        else:
+            todo.append((node, True))
+            todo += ((child, False) for child in reversed(node.children))
+    return out
+
+
+class TestStorageEdges:
+    """Nodes of 256 or more children and chains 10^5 deep, against the
+    reference model."""
+
+    @pytest.mark.parametrize(
+        "ref",
+        [wide_ref(255), wide_ref(256), wide_ref(300)]
+        + [deep_ref(10**5, shape) for shape in ("left", "right", "unary")],
+        ids=["wide-255", "wide-256", "wide-300", "deep-left", "deep-right", "deep-unary"],
+    )
+    def test_the_storage_agrees_with_the_reference(self, ref):
+        text = ref_text(ref)
+        tree = parse_bracketed(text)
+        assert_views_agree(tree, ref)
+        assert format_tree(tree) == text
+        again = parse_bracketed(format_tree(tree))
+        assert again == tree and hash(again) == hash(tree)
+        for strategy in ("right", "left"):
+            binary = binarize(tree, strategy)
+            assert binarize(binary, strategy) == binary
+            assert binary.fringe() == tree.fringe()
+
+    @pytest.mark.parametrize("width", [255, 256, 300])
+    def test_a_wide_node_keeps_its_children(self, width):
+        tree = parse_bracketed(ref_text(wide_ref(width)))
+        assert tree == ref_build(wide_ref(width))
+        (s,) = tree.children[0].children
+        middle = s.children[1]
+        assert len(middle.children) == width
+        assert [c.token for c in middle.children] == [f"w{k}" for k in range(width)]
+        right = binarize(middle)
+        assert format_tree(right).count("(X* ") == width - 2
+        assert format_tree(binarize(middle, "left")).startswith("(X " + "(X* " * (width - 2))

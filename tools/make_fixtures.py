@@ -11,6 +11,8 @@ Writes, under tests/fixtures/:
 * wide.tree       a balanced binary tree of 256 demo.lex words, one of
                   them "not", whose wide bottom levels compose_tree runs
                   as stacked steps
+* big.tree        a balanced binary tree of 1024 demo.lex words beside a
+                  right-branching chain of 300, one word of each "not"
 * spaced.tree     figure3.tree spaced with tabs, CRLF line breaks and
                   ideographic spaces (U+3000); it composes as figure3.tree
 * breaks.tree     figure3.tree with pairs of the whitespace that Unicode
@@ -56,6 +58,13 @@ WORDS = ["this", "car", "is", "blue", "red"] + [f"w{i:02d}" for i in range(45)]
 WIDE_LEAVES = [WORDS[i % len(WORDS)] for i in range(256)]
 WIDE_LEAVES[102] = "not"
 
+# WORDS in a stride of 7, with "not" at leaf 300 of the balanced tree
+# and leaf 150 of the chain
+BIG_BALANCED = [WORDS[7 * i % len(WORDS)] for i in range(1024)]
+BIG_BALANCED[300] = "not"
+BIG_CHAIN = [WORDS[7 * i % len(WORDS)] for i in range(300)]
+BIG_CHAIN[150] = "not"
+
 SPACED = (
     "(S\t(NP (Det this)\u3000(N car))\r\n"
     "\t(VP\u3000(VBZ\tis) (RB not)\r\n"
@@ -74,6 +83,11 @@ def balanced(tokens) -> str:
         return f"(W {tokens[0]})"
     half = len(tokens) // 2
     return f"(S {balanced(tokens[:half])} {balanced(tokens[half:])})"
+
+
+def chain(tokens) -> str:
+    """A right-branching chain over ``tokens``."""
+    return "".join(f"(C (W {t}) " for t in tokens[:-1]) + f"(W {tokens[-1]})" + ")" * (len(tokens) - 1)
 
 
 def write_reports():
@@ -125,6 +139,8 @@ def main():
 
     (FIXTURES / "figure3.tree").write_text(TREE + "\n", encoding="utf-8")
     (FIXTURES / "wide.tree").write_text(balanced(WIDE_LEAVES) + "\n", encoding="utf-8")
+    big = f"(S {balanced(BIG_BALANCED)} {chain(BIG_CHAIN)})"
+    (FIXTURES / "big.tree").write_text(big + "\n", encoding="utf-8")
     # newline="" writes the CRLFs as they are on every platform
     (FIXTURES / "spaced.tree").write_text(SPACED, encoding="utf-8", newline="")
     (FIXTURES / "breaks.tree").write_text(BREAKS, encoding="utf-8", newline="")
