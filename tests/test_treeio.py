@@ -472,6 +472,8 @@ class TestStorageProperties:
             alone = parse_bracketed(format_tree(view))
             assert view == alone and hash(view) == hash(alone)
             assert view.fringe() == alone.fringe()
+            for strategy in ("right", "left"):
+                assert binarize(view, strategy) == binarize(alone, strategy)
 
     @settings(max_examples=150, deadline=None)
     @given(ref_trees, st.sampled_from(["right", "left"]))
