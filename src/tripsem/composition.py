@@ -277,15 +277,14 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
                 _check_finite(parent[0], parent[1], where)
         return stack[0]
 
-    every = range(tree._first(), hi)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            v, m, alpha = fold(top or every, top or tokens, stacked(), checked=False)
+            v, m, alpha = fold(top or range(tree._first(), hi), top or tokens, stacked(), False)
             _check_finite(v, m, lambda: _describe(tree, hi - 1))
         except (UnknownTokenError, ValueError):
             v = None
         if v is None:
-            fold(every, tokens, {}, checked=True)  # raises the fold's first fault
+            fold(range(tree._first(), hi), tokens, {}, checked=True)  # raises the first fault
     tree._plan = plan
     if tokens[hi - 1] is not None:
         return lexicon[tokens[hi - 1]]

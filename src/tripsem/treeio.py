@@ -271,9 +271,10 @@ def binarize(tree: ParseTree, strategy: str = "right") -> ParseTree:
             new[j] = len(out)
             out.append((tags[j], tokens[j], len(out), 0))
         elif count > 1:  # a unary node collapses into its child
-            if strategy == "right":
-                for child in tree._node(j).children[-2:0:-1]:
-                    out.append((tags[j] + "*", None, new[child._first()], 2))
+            k = starts[j - 1] - 1  # the child before the last, then each but the first
+            while strategy == "right" and starts[k] > starts[j]:
+                out.append((tags[j] + "*", None, new[starts[k]], 2))
+                k = starts[k] - 1
             out.append((tags[j], None, new[starts[j]], 2))
         if j in folds_into:
             parent = folds_into[j]
