@@ -18,13 +18,14 @@ right, joined by single spaces. Joining is associative, so a tree's root
 token does not depend on how the tree was binarized.
 
 Both public functions run one step kernel, ``_step``, on plain arrays.
-``compose_pair`` wraps its result in a ``LexicalEntry``; ``compose_tree``
-evaluates a whole binary tree over its flat post-order arrays and wraps
-only the root. It runs each bottom level of at least ``WIDE`` nodes of
-equal height through the kernel as one stack, and the narrow top one node
-at a time. Finiteness is tested apart from the step: ``compose_pair``
-tests its parent, ``compose_tree`` only its root, and on a fault it runs
-the whole tree again one node at a time (see there why that is exact).
+``compose_tree`` runs it over a binary tree's flat post-order arrays:
+each bottom level of at least ``WIDE`` nodes of equal height as one stack
+through ``@``, the narrow top node by node through ``ndarray.dot``, which
+costs less per call and gives the same bits (tested). Finiteness is tested
+apart from the step, once: ``compose_pair`` tests its parent,
+``compose_tree`` only its root, and each wraps those arrays as they are in
+a ``LexicalEntry``. On a fault ``compose_tree`` runs the whole tree again
+one node at a time (see there why that is exact).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionMatrix, LexicalEntry, SemanticVector
+from .core import LexicalEntry, _entry
 from .errors import DegenerateWeightsError, DimensionError, TreeArityError, UnknownTokenError
 from .lexicon import Lexicon
 from .treeio import ParseTree, _describe, _shape
@@ -59,16 +60,17 @@ class CompositionConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
 
-def _step(va, ma, aa, vb, mb, ab, baseline: bool, where, top=max) -> tuple:
-    """The composition step on plain arrays: the parent's (v, M, alpha).
+def _step(va, ma, aa, vb, mb, ab, baseline: bool, where, top=max, dot=np.ndarray.dot) -> tuple:
+    """The composition step on plain arrays: the parent's (v, M, alpha), new.
 
-    One node is v (n,), M (n, n) and float alphas. A stack of k nodes is v
-    (k, n, 1), M (k, n, n) and alphas (k, 1, 1), with ``top=np.maximum``: the
-    same bits, but a Z = 0 weight is left as NaN in M for the caller's
+    One node is v (n,), M (n, n) and float alphas, its matvecs run by
+    ``ndarray.dot``. A stack of k nodes is v (k, n, 1), M (k, n, n) and
+    alphas (k, 1, 1), with ``top=np.maximum`` and ``dot=np.matmul``: the same
+    bits, tested, but a Z = 0 weight is left as NaN in M for the caller's
     finiteness test. ``where()`` names the step, only to word an error.
     Callers test the parent with ``_check_finite`` and hold numpy's overflow
     and invalid-value warnings off."""
-    v = ma @ vb + mb @ va
+    v = dot(ma, vb) + dot(mb, va)
     if baseline:
         m = ma + mb
     else:
@@ -108,12 +110,7 @@ def compose_pair(a: LexicalEntry, b: LexicalEntry, cfg: CompositionConfig) -> Le
             cfg.model == "baseline", where,
         )
         _check_finite(v_p, m_p, where)
-    return LexicalEntry(
-        f"{a.token} {b.token}",
-        SemanticVector(v_p, layout),
-        FunctionMatrix(m_p, layout),
-        alpha_p,
-    )
+    return _entry(f"{a.token} {b.token}", v_p, m_p, alpha_p, layout)
 
 
 def _wide_levels(starts, lo: int, arity: bytes) -> tuple:
@@ -251,7 +248,8 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
         alphas[:end, 0, 0] = [entry.alpha for entry in entries]
         for out, a, b, where in steps:
             vs[out], ms[out], alphas[out] = _step(
-                vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline, where, top=np.maximum
+                vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline, where,
+                top=np.maximum, dot=np.matmul,
             )
         return {r: (vs[r, :, 0], ms[r], float(alphas[r, 0, 0])) for r in roots}
 
@@ -288,5 +286,4 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     tree._plan = plan
     if tokens[hi - 1] is not None:
         return lexicon[tokens[hi - 1]]
-    layout = lexicon.layout
-    return LexicalEntry(phrase, SemanticVector(v, layout), FunctionMatrix(m, layout), alpha)
+    return _entry(phrase, v, m, alpha, lexicon.layout)

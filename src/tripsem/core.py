@@ -187,6 +187,19 @@ class LexicalEntry:
     __hash__ = None
 
 
+def _entry(token: str, v, m, alpha: float, layout: SegmentLayout) -> LexicalEntry:
+    """The ``LexicalEntry`` of a nonempty ``token``, a float ``alpha`` >= 0 and
+    new float64 arrays v (n,) and M (n, n) already tested finite, built without
+    checking any of them again: the arrays are made read-only, not copied."""
+    v.setflags(write=False)
+    m.setflags(write=False)
+    vector, matrix, entry = map(object.__new__, (SemanticVector, FunctionMatrix, LexicalEntry))
+    vector.__dict__.update(values=v, layout=layout)
+    matrix.__dict__.update(entries=m, layout=layout)
+    entry.__dict__.update(token=token, v=vector, M=matrix, alpha=alpha)
+    return entry
+
+
 def make_negation_matrix(op: NegationOperator) -> FunctionMatrix:
     """Diagonal matrix that is identity on domain+stable and -mu on the
     inverted segment; all off-diagonal entries are exactly zero."""

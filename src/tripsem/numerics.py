@@ -18,16 +18,6 @@ from .errors import DimensionError, UndefinedSimilarityError
 __all__ = ["cosine"]
 
 
-def as_vector(v: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    return arr
-
-
 def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``(a * 2**-e, e)``, with ``e`` bringing the largest magnitude into [0.5, 1)
     (0 for a zero array), so norms and dot products neither overflow nor underflow."""
@@ -49,7 +39,12 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     1.0 and -1.0, so the trivial cases are free of rounding fuzz. Each
     vector is first scaled by a power of two, exactly, so nothing overflows.
     """
-    a, b = as_vector(u), as_vector(v)
+    a, b = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    for arr in (a, b):
+        if arr.ndim != 1:
+            raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("vector entries must be finite")
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
     a, b = unit_scaled(a)[0], unit_scaled(b)[0]

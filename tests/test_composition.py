@@ -1,7 +1,7 @@
 """The composition step under both models, and tree-driven composition."""
 
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -213,6 +213,21 @@ def test_compose_pair_dispatches_on_model(not_and_blue):
     )
     # alpha_not = 0, so the improved weights are (0, 1)
     assert np.array_equal(compose_pair(a, b, IMPROVED).M.entries, b.M.entries)
+
+
+@pytest.mark.parametrize("n", [1, 8, 12, 32, 64])
+def test_the_step_gives_the_bits_of_the_matmul_formula(n):
+    """One node's matvecs run through ``ndarray.dot``: its v must be
+    M_a @ v_b + M_b @ v_a bit for bit."""
+    layout = SegmentLayout(0, 0, n)
+    rng = np.random.default_rng(n)
+    for _ in range(300):
+        a, b = (
+            entry(t, rng.standard_normal(n), rng.standard_normal((n, n)), layout=layout)
+            for t in "ab"
+        )
+        want = a.M.entries @ b.v.values + b.M.entries @ a.v.values
+        assert np.array_equal(compose_pair(a, b, DEFAULT).v.values, want)
 
 
 @pytest.fixture
@@ -534,7 +549,10 @@ class TestComposeTreeIsTheFold:
             assert np.isfinite(got.v.values).all()
             assert_same_root(got, fold(tree, lexicon, cfg))
 
-    @pytest.mark.parametrize("layout", [SegmentLayout(4, 2, 2), SegmentLayout(16, 8, 8)])
+    @pytest.mark.parametrize(
+        "layout",
+        [SegmentLayout(*sizes) for sizes in [(0, 0, 1), (4, 2, 2), (6, 3, 3), (16, 8, 8)]],
+    )
     @pytest.mark.parametrize("shape", ["balanced", "random", "caterpillar"])
     def test_init_random_lexicons_give_the_fold_root_bit_for_bit(self, layout, shape):
         words = [f"w{k:02d}" for k in range(40)]
@@ -826,6 +844,53 @@ class TestPlan:
                 want = compose_tree(parse_bracketed(format_tree(child)), lexicon, cfg)
                 assert_same_root(got, want)
                 assert_same_root(got, fold(child, lexicon, cfg))
+
+
+class TestBuiltEntries:
+    """``compose_pair``'s result and a composed root wrap the step's own
+    arrays, unchecked: they must still be read-only, own their data, equal
+    the entry the public constructors build, and validate on ``replace``."""
+
+    @pytest.fixture(params=["pair", "wide root"])
+    def built(self, request):
+        lexicon = plan_lexicons()[0]
+        if request.param == "pair":
+            return compose_pair(lexicon["w00"], lexicon["not"], IMPROVED)
+        tree = parse_bracketed(balanced_text([f"(W w{k % 30:02d})" for k in range(64)]))
+        assert wide_levels(tree)
+        return compose_tree(tree, lexicon, IMPROVED)
+
+    def test_the_arrays_are_read_only(self, built):
+        for array in (built.v.values, built.M.entries):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_the_arrays_own_their_data(self, built):
+        # so a root never holds the wide levels' results buffer alive
+        assert built.v.values.flags.owndata and built.M.entries.flags.owndata
+
+    def test_equal_to_the_checked_entry(self, built):
+        layout = built.layout
+        checked = LexicalEntry(
+            built.token,
+            SemanticVector(built.v.values, layout),
+            FunctionMatrix(built.M.entries, layout),
+            built.alpha,
+        )
+        assert built == checked
+        assert type(built.alpha) is float and layout == SegmentLayout(4, 2, 2)
+
+    def test_replace_still_validates(self, built):
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            replace(built, alpha=-1.0)
+        with pytest.raises(ValueError, match="^token must be nonempty$"):
+            replace(built, token="")
+        with pytest.raises(ValueError, match="^semantic vector entries must be finite$"):
+            replace(built.v, values=np.full(8, np.nan))
+        with pytest.raises(DimensionError):
+            replace(built.M, entries=np.eye(3))
+        assert replace(built, alpha=2).alpha == 2.0
 
 
 class TestDeepChain:
