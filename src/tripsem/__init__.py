@@ -13,7 +13,6 @@ model can. ``tripsem.composition`` defines the two composition models.
 """
 
 from .analysis import (
-    DoubleNegationReport,
     FitResult,
     SampleSet,
     ScopeInvarianceReport,
@@ -72,7 +71,6 @@ __all__ = [
     "SampleSet",
     "fit_negation_baseline",
     "fit_negation_improved",
-    "DoubleNegationReport",
     "check_double_negation",
     "ScopeInvarianceReport",
     "scope_invariance_report",

@@ -62,7 +62,6 @@ __all__ = [
     "SampleSet",
     "fit_negation_baseline",
     "fit_negation_improved",
-    "DoubleNegationReport",
     "check_double_negation",
     "ScopeInvarianceReport",
     "scope_invariance_report",
@@ -391,27 +390,27 @@ def fit_negation_improved(
 # reports
 
 
-@dataclass(frozen=True, eq=False)
-class DoubleNegationReport:
-    """Once- and twice-negated vectors plus the properties they exhibit.
-
-    ``underflowed`` counts the inverted entries for which
-    ``check_double_negation`` relaxes both checks.
-    """
-
-    once: SemanticVector
-    twice: SemanticVector
-    domain_unchanged: bool
-    signs_restored: bool
-    diminutive: bool
-    underflowed: int
-
-
-def _double_negation_rows(
+def check_double_negation(
     values: np.ndarray, layout: SegmentLayout, op: NegationOperator, op2: NegationOperator
 ) -> tuple[np.ndarray, ...]:
-    """``check_double_negation`` over stacked vectors ``values`` (W, n): the
-    once- and twice-negated vectors and, per row, the report's four flags."""
+    """Negate the stacked vectors ``values`` (W, n) of ``layout`` by ``op``,
+    then by ``op2``: ``once`` and ``twice`` (W, n), then per row
+    ``domain_unchanged`` (domain and stable segments bitwise identical
+    across all three vectors), ``signs_restored`` (the twice-negated
+    inverted segment has the original signs), ``diminutive`` (every nonzero
+    inverted entry strictly shrank in magnitude; false at mu = nu = 1,
+    where double inversion restores the vector exactly) and
+    ``underflowed``, the count of inverted entries whose checks are relaxed.
+
+    Signs and shrink hold exactly only where mu * nu * |x| is at least the
+    smallest normal double, ``np.finfo(float).tiny``. Below it the result
+    is subnormal and rounds to a grid that can put it back on x itself
+    (0.9 * 0.9 * 5e-324 rounds to 5e-324) or on zero. For such an entry
+    the check requires |y| <= |x| in place of the strict shrink and
+    accepts zero in place of the original sign.
+    """
+    if values.shape[1:] != (layout.n,):
+        raise DimensionError(f"values must have shape (W, {layout.n}), got {values.shape}")
     once = negated(values, layout, op)
     twice = negated(once, layout, op2)
     keep, inverted = slice(0, layout.d_domain + layout.d_stable), layout.inverted_slice
@@ -425,32 +424,6 @@ def _double_negation_rows(
     return (
         once, twice, domain_unchanged.all(axis=1), signs_restored.all(axis=1),
         (shrunk | ~nonzero).all(axis=1), np.count_nonzero(small, axis=1),
-    )
-
-
-def check_double_negation(
-    entry: LexicalEntry, op: NegationOperator, op2: NegationOperator
-) -> DoubleNegationReport:
-    """Negate twice and report what happened to each segment.
-
-    ``domain_unchanged``: domain and stable segments are bitwise identical
-    across all three vectors. ``signs_restored``: the twice-negated
-    inverted segment has the original signs. ``diminutive``: every nonzero
-    inverted entry strictly shrank in magnitude (false at mu = nu = 1,
-    where double inversion restores the vector exactly).
-
-    Both hold exactly only where mu * nu * |x| is at least the smallest
-    normal double, ``np.finfo(float).tiny``. Below it the result is
-    subnormal and rounds to a grid that can put it back on x itself
-    (0.9 * 0.9 * 5e-324 rounds to 5e-324) or on zero. For such an entry
-    the check requires |y| <= |x| in place of the strict shrink and
-    accepts zero in place of the original sign.
-    """
-    layout = entry.layout
-    once, twice, *flags, underflowed = _double_negation_rows(entry.v.values[None], layout, op, op2)
-    return DoubleNegationReport(
-        SemanticVector(once[0], layout), SemanticVector(twice[0], layout),
-        *(bool(flag[0]) for flag in flags), int(underflowed[0]),
     )
 
 

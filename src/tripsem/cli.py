@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import (
     SampleSet,
-    _double_negation_rows,
+    check_double_negation,
     domain_similarity,
     fit_negation_baseline,
     fit_negation_improved,
@@ -78,7 +78,8 @@ def _parse_layout(text: str) -> SegmentLayout:
 
 
 def _read_words(path: str) -> list[str]:
-    lines = (raw.strip() for raw in Path(path).read_text(encoding="utf-8").splitlines())
+    # read_text turns CRLF and CR into LF, so lines break at those three only
+    lines = (raw.strip() for raw in Path(path).read_text(encoding="utf-8").split("\n"))
     tokens = [line for line in lines if line and not line.startswith("#")]
     if not tokens:
         raise ValueError(f"no words found in {path}")
@@ -227,7 +228,7 @@ def _verify_double_negation(lex: Lexicon, args) -> tuple[list, bool]:
     op = NegationOperator(lex.mu_default, layout)
     expect_diminutive = lex.mu_default * lex.mu_default < 1.0
     values = np.array([entry.v.values for entry in lex]).reshape(len(lex), layout.n)
-    _, _, domain, signs, diminutive, underflowed = _double_negation_rows(values, layout, op, op)
+    _, _, domain, signs, diminutive, underflowed = check_double_negation(values, layout, op, op)
     # diminutive is vacuously true for a word with no inverted mass.
     all_domain, all_signs, all_dim = bool(domain.all()), bool(signs.all()), bool(diminutive.all())
     inverted_mass = values[:, layout.inverted_slice].any(axis=1)

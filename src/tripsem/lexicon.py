@@ -13,9 +13,10 @@ representation (up to 17 significant digits), so ``load(save(lex))``
 reproduces every value bit-for-bit. ``save`` additionally records the
 lexicon's default negation scale as a ``# mu_default <value>`` pragma
 comment; ``load`` honours it when present and otherwise defaults to 0.5,
-so hand-written files need not carry it. A malformed lexicon, a bad
-``# mu_default`` pragma included, is reported at its first faulty line
-in file order.
+so hand-written files need not carry it. Lines break only at LF, CRLF
+and CR; any other line break is whitespace inside a row. ``loads`` reads
+the rows once, block by block, and raises a malformed lexicon's first
+fault, a bad ``# mu_default`` pragma included, at its line in file order.
 
 Random initialization is reproducible across runs and platforms: it draws
 from numpy's PCG64 generator (``numpy.random.default_rng(seed)``), taking
@@ -29,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import length_hint
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -40,6 +42,7 @@ from .core import (
     NegationOperator,
     SegmentLayout,
     SemanticVector,
+    _entry,
     make_negation_matrix,
 )
 from .errors import DegenerateNegationError, LexiconFormatError, UnknownTokenError
@@ -176,84 +179,66 @@ def dumps(lex: Lexicon) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_floats(parts: list[str], count: int, lineno: int, what: str) -> np.ndarray:
-    if len(parts) != count:
-        raise LexiconFormatError(f"{what}: expected {count} values, got {len(parts)}", lineno)
-    out = np.empty(count)
-    for i, text in enumerate(parts):
-        try:
-            out[i] = float(text)
-        except ValueError:
-            raise LexiconFormatError(f"{what}: bad number {text!r}", lineno) from None
-    if not np.all(np.isfinite(out)):
-        raise LexiconFormatError(f"{what}: non-finite value", lineno)
-    return out
+def _row_name(token: str, r: int) -> str:
+    """What row ``r`` of ``token``'s block holds: its alpha, v or a row of M."""
+    return f"{('alpha', 'vector')[r] if r < 2 else f'matrix row {r - 1}'} of {token!r}"
 
 
-def _read_entries(body: list[list[str]], layout: SegmentLayout) -> dict | None:
-    """The entries of the rows after the layout line, or None if any is
-    faulty. Once every row's keyword and count are checked, one ``float``
-    pass reads all numbers into a (W, 1 + n + n*n) table of each word's
-    alpha, v and M; the entries check their own values, and a repeated
-    word leaves fewer entries than words."""
-    n, width = layout.n, 1 + layout.n + layout.n**2
-    count = len(body) // (n + 2)
-    block = [("word", 3), ("v", n + 1), *[("m", n + 1)] * n] if count else []
-    if [(parts[0], len(parts)) for parts in body] != block * count:
-        return None
-    tokens = [parts[1] for parts in body[:: n + 2]]
-    numbers = chain.from_iterable(parts[2:] if parts[0] == "word" else parts[1:] for parts in body)
-    try:
-        table = np.fromiter(map(float, numbers), float, count * width).reshape(count, width)
-        entries = {
-            token: LexicalEntry(
-                token, SemanticVector(row[1 : n + 1], layout),
-                FunctionMatrix(row[n + 1 :].reshape(n, n), layout), float(row[0]),
-            )
-            for token, row in zip(tokens, table)
-        }
-    except ValueError:
-        return None
-    return entries if len(entries) == count else None
-
-
-def _row(rows: list, i: int, last: int, what: str) -> tuple[int, list[str]]:
-    if i < len(rows):
-        return rows[i]
-    raise LexiconFormatError(f"unexpected end of file, expected {what}", last)
-
-
-def _raise_first_fault(rows: list, layout: SegmentLayout, last: int) -> None:
-    """Raise the first fault of the rows after the layout line, read block by block."""
-    n, seen = layout.n, set()
+def _read_entries(rows: list, layout: SegmentLayout, last: int) -> dict[str, LexicalEntry]:
+    """The entries of the rows after the layout line, read block by block:
+    one ``float`` pass converts a block's numbers, up to its first row that
+    is missing or has a wrong keyword or count. The first fault is raised at
+    its line, in the order a row-by-row reading meets it: a row's keyword
+    and count, then its numbers. A repeated word and a negative alpha are
+    faults of the word row."""
+    n = layout.n
+    entries: dict[str, LexicalEntry] = {}
     for first in range(2, len(rows), n + 2):
         lineno, parts = rows[first]
         if parts[0] != "word" or len(parts) != 3:
             raise LexiconFormatError("expected 'word <token> <alpha>'", lineno)
         token = parts[1]
-        if token in seen:
+        if token in entries:
             raise LexiconFormatError(f"duplicate word {token!r}", lineno)
-        seen.add(token)
-        alpha = float(_parse_floats([parts[2]], 1, lineno, f"alpha of {token!r}")[0])
-        if alpha < 0.0:
-            raise LexiconFormatError(
-                f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}", lineno
-            )
-        for r, key in enumerate(["v"] + ["m"] * n):
-            what = f"matrix row {r} of {token!r}" if r else f"vector of {token!r}"
-            lineno, parts = _row(rows, first + 1 + r, last, what if r else f"v line of {token!r}")
-            if parts[0] != key:
-                raise LexiconFormatError(f"expected '{key} ...' for {token!r}", lineno)
-            _parse_floats(parts[1:], n, lineno, what)
+        block = rows[first : first + n + 2] + [(last, None)]  # None: past the end of the file
+        # stop: the first faulty row (n + 2: none), with its fault; later checks only lower it
+        stop = next(r for r, (_, p) in enumerate(block[1:], 1)
+                    if p is None or p[0] != "vm"[r > 1] or len(p) != n + 1)
+        if stop < n + 2:  # row stop is missing, or its keyword or count is wrong
+            row, key = block[stop][1], "vm"[stop > 1]
+            what = f"v line of {token!r}" if stop == 1 else _row_name(token, stop)
+            fault = (f"unexpected end of file, expected {what}" if row is None
+                     else f"expected '{key} ...' for {token!r}" if row[0] != key
+                     else f"{_row_name(token, stop)}: expected {n} values, got {len(row) - 1}")
+        texts = [parts[2], *chain.from_iterable(p[1:] for _, p in block[1:stop])]
+        left = iter(texts)
+        try:
+            values = np.fromiter(map(float, left), float, len(texts))
+        except ValueError:  # the text at i is no number; those before it are
+            i = len(texts) - 1 - length_hint(left)
+            stop = (i + n - 1) // n
+            fault = f"{_row_name(token, stop)}: bad number {texts[i]!r}"
+            values = np.fromiter(map(float, texts[:i]), float, i)
+        finite = np.isfinite(values)
+        if not finite.all() and (r := (int(np.argmin(finite)) + n - 1) // n) < stop:
+            stop, fault = r, f"{_row_name(token, r)}: non-finite value"
+        if stop and values[0] < 0.0:  # the word row is read, and its alpha is finite
+            alpha, stop = float(values[0]), 0
+            fault = f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}"
+        if stop < n + 2:
+            raise LexiconFormatError(fault, block[stop][0])
+        v, m = values[1 : n + 1], values[n + 1 :].reshape(n, n)
+        entries[token] = _entry(token, v, m, float(values[0]), layout)
+    return entries
 
 
 def loads(text: str) -> Lexicon:
     mu_default = 0.5
     pragma_fault: LexiconFormatError | None = None
     rows: list[tuple[int, list[str]]] = []
-    last_lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_lineno = lineno
+    # lines end at LF, CRLF and CR only; a final line break starts no line
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -261,30 +246,32 @@ def loads(text: str) -> Lexicon:
             parts = stripped[1:].split()
             if len(parts) == 2 and parts[0] == "mu_default" and pragma_fault is None:
                 try:
-                    mu_default = float(_parse_floats(parts[1:], 1, lineno, "mu_default")[0])
-                    if not 0.0 < mu_default <= 1.0:
-                        raise LexiconFormatError(
-                            f"mu_default must lie in (0, 1], got {mu_default!r}", lineno
-                        )
-                except LexiconFormatError as exc:
-                    pragma_fault = exc
+                    mu_default = float(parts[1])
+                    fault = (None if 0.0 < mu_default <= 1.0
+                             else "mu_default: non-finite value" if not math.isfinite(mu_default)
+                             else f"mu_default must lie in (0, 1], got {mu_default!r}")
+                except ValueError:
+                    fault = f"mu_default: bad number {parts[1]!r}"
+                pragma_fault = LexiconFormatError(fault, lineno) if fault else None
             continue
         rows.append((lineno, stripped.split()))
+    last = len(lines) - (not lines[-1])
 
     try:
-        lineno, parts = _row(rows, 0, last_lineno, "header")
-        if parts != MAGIC.split():
-            raise LexiconFormatError(f"bad header, expected {MAGIC!r}", lineno)
-        lineno, parts = _row(rows, 1, last_lineno, "layout line")
+        if not rows:
+            raise LexiconFormatError("unexpected end of file, expected header", last)
+        if rows[0][1] != MAGIC.split():
+            raise LexiconFormatError(f"bad header, expected {MAGIC!r}", rows[0][0])
+        if len(rows) == 1:
+            raise LexiconFormatError("unexpected end of file, expected layout line", last)
+        lineno, parts = rows[1]
         if len(parts) != 4 or parts[0] != "layout":
             raise LexiconFormatError("expected 'layout <d_domain> <d_stable> <d_inverted>'", lineno)
         try:
             layout = SegmentLayout(int(parts[1]), int(parts[2]), int(parts[3]))
         except ValueError as exc:
             raise LexiconFormatError(f"bad layout: {exc}", lineno) from None
-        entries = _read_entries([parts for _, parts in rows[2:]], layout)
-        if entries is None:
-            _raise_first_fault(rows, layout, last_lineno)
+        entries = _read_entries(rows, layout, last)
     except LexiconFormatError as exc:  # a bad pragma is reported in its place in file order
         raise (pragma_fault if pragma_fault and pragma_fault.line <= exc.line else exc) from None
     if pragma_fault:

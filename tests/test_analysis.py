@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from tripsem.analysis import (
     SampleSet,
-    _double_negation_rows,
     check_double_negation,
     default_demo_samples,
     domain_similarity,
@@ -607,50 +606,44 @@ class TestImprovedFit:
 
 
 class TestCheckDoubleNegation:
-    def _entry(self, values, layout=LAY211):
-        return LexicalEntry(
-            "w",
-            SemanticVector(values, layout),
-            FunctionMatrix(np.eye(layout.n) + 0.5, layout),
-            1.0,
-        )
-
     def test_forced_arithmetic(self):
-        report = check_double_negation(
-            self._entry([1.0, 2.0, 3.0, 4.0]), op211(0.5), op211(0.5)
-        )
-        assert report.once.values.tolist() == [1.0, 2.0, 3.0, -2.0]
-        assert report.twice.values.tolist() == [1.0, 2.0, 3.0, 1.0]
-        assert report.domain_unchanged and report.signs_restored and report.diminutive
+        values = np.array([[1.0, 2.0, 3.0, 4.0]])
+        once, twice, *flags, _ = check_double_negation(values, LAY211, op211(0.5), op211(0.5))
+        assert once.tolist() == [[1.0, 2.0, 3.0, -2.0]]
+        assert twice.tolist() == [[1.0, 2.0, 3.0, 1.0]]
+        assert [flag.tolist() for flag in flags] == [[True]] * 3
 
     def test_pure_inversion_boundary(self):
-        report = check_double_negation(
-            self._entry([1.0, 2.0, 3.0, 4.0]), op211(1.0), op211(1.0)
+        values = np.array([[1.0, 2.0, 3.0, 4.0]])
+        _, twice, _, signs_restored, diminutive, _ = check_double_negation(
+            values, LAY211, op211(1.0), op211(1.0)
         )
-        assert report.twice == self._entry([1.0, 2.0, 3.0, 4.0]).v
-        assert report.signs_restored
-        assert not report.diminutive  # magnitudes are equal, not smaller
+        assert twice.tobytes() == values.tobytes()
+        assert signs_restored[0]
+        assert not diminutive[0]  # magnitudes are equal, not smaller
 
     def test_degenerate_layout(self):
         lay = SegmentLayout(2, 2, 0)
-        entry = LexicalEntry(
-            "w",
-            SemanticVector([1.0, 1.0, 1.0, 1.0], lay),
-            FunctionMatrix(np.eye(4) + 0.5, lay),
-            1.0,
-        )
         with pytest.raises(DegenerateNegationError):
-            check_double_negation(entry, NegationOperator(0.5, lay), NegationOperator(0.5, lay))
+            check_double_negation(
+                np.ones((1, 4)), lay, NegationOperator(0.5, lay), NegationOperator(0.5, lay)
+            )
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 5), (2, 3), (1, 1, 4)])
+    def test_values_of_another_shape_are_rejected(self, shape):
+        with pytest.raises(DimensionError, match=r"values must have shape \(W, 4\)"):
+            check_double_negation(np.ones(shape), LAY211, op211(0.5), op211(0.5))
 
     def test_seeded_sweep_is_diminutive(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             values = rng.uniform(-2.0, 2.0, 4)
             mu, nu = rng.uniform(0.01, 0.99, size=2)
-            report = check_double_negation(self._entry(values), op211(mu), op211(nu))
-            assert report.domain_unchanged
-            assert report.signs_restored
-            assert report.diminutive
+            _, _, *flags, _ = check_double_negation(values[None], LAY211, op211(mu), op211(nu))
+            domain_unchanged, signs_restored, diminutive = (bool(flag[0]) for flag in flags)
+            assert domain_unchanged
+            assert signs_restored
+            assert diminutive
 
 
 TINY = np.finfo(float).tiny
@@ -680,18 +673,12 @@ def reference_double_negation(row, layout, mu, nu):
 def test_double_negation_rows_match_the_rule_entry_by_entry(rows, mu, nu):
     layout = SegmentLayout(1, 1, 2)
     op, op2 = NegationOperator(mu, layout), NegationOperator(nu, layout)
-    once, twice, *flags = _double_negation_rows(np.array(rows), layout, op, op2)
+    once, twice, *flags = check_double_negation(np.array(rows), layout, op, op2)
     for r, row in enumerate(rows):
         want_once, want_twice, *want_flags = reference_double_negation(row, layout, mu, nu)
-        entry = LexicalEntry("w", SemanticVector(row, layout), FunctionMatrix.zeros(layout), 1.0)
-        report = check_double_negation(entry, op, op2)
-        for got in (once[r], report.once.values):
-            assert got.tobytes() == np.array(want_once).tobytes()
-        for got in (twice[r], report.twice.values):
-            assert got.tobytes() == np.array(want_twice).tobytes()
+        assert once[r].tobytes() == np.array(want_once).tobytes()
+        assert twice[r].tobytes() == np.array(want_twice).tobytes()
         assert [bool(f[r]) for f in flags[:3]] + [int(flags[3][r])] == want_flags
-        assert [report.domain_unchanged, report.signs_restored, report.diminutive,
-                report.underflowed] == want_flags
 
 
 class TestScopeInvariance:

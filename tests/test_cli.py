@@ -19,6 +19,9 @@ from tripsem.lexicon import Lexicon, init_random, load, save
 
 DEMO_ARGS = lambda path: ["--lexicon", str(path)]  # noqa: E731
 
+# The line breaks of str.splitlines() other than LF, CRLF and CR
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 def lines_of(capsys):
     out = capsys.readouterr().out
@@ -77,6 +80,21 @@ class TestLexiconInit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"tripsem: no words found in {words}\n"
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS, ids=repr)
+    def test_a_words_line_breaks_only_at_lf_crlf_and_cr(self, tmp_path, capsys, char):
+        words = tmp_path / "words.txt"
+        words.write_text(f"a{char}b\n", encoding="utf-8")
+        code = run(["lexicon-init", "--words", str(words), "--out", str(tmp_path / "x.lex")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"tripsem: token must be nonempty and whitespace-free, got {'a' + char + 'b'!r}\n"
+        )
+        words.write_text("a\rb\r\nc\n", encoding="utf-8")
+        assert run(["lexicon-init", "--words", str(words), "--out", str(tmp_path / "x.lex")]) == 0
+        assert list(load(tmp_path / "x.lex").entries) == ["a", "b", "c", "not"]
 
     def test_bad_layout_string(self, tmp_path, fixtures_dir, capsys):
         code = run(

@@ -33,6 +33,9 @@ from tripsem.lexicon import (
 
 LAY211 = SegmentLayout(2, 1, 1)
 
+# The line breaks of str.splitlines() other than LF, CRLF and CR
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 # Two valid 2,1,1 entries; word b is lines 9 to 14.
 TWO_WORDS = (
     "TRIPSEM 1",
@@ -341,6 +344,17 @@ class TestLoadErrors:
                 2,
             ),
             ({2: "layout 0 0 0"}, 14, "bad layout: layout must have at least one dimension", 2),
+            ({9: "word a 0.5"}, 14, "duplicate word 'a'", 9),
+            ({9: "word b x"}, 14, "alpha of 'b': bad number 'x'", 9),
+            ({9: "word b inf"}, 14, "alpha of 'b': non-finite value", 9),
+            ({}, 9, "unexpected end of file, expected v line of 'b'", 9),
+            (
+                {12: "m 0 2 0 0\n\n# end of file\n"},
+                12,
+                "unexpected end of file, expected matrix row 3 of 'b'",
+                15,
+            ),
+            ({10: "v inf x 1 2"}, 14, "vector of 'b': bad number 'x'", 10),
         ],
         ids=[
             "v-keyword",
@@ -358,6 +372,12 @@ class TestLoadErrors:
             "negative-alpha-before-m3-short",
             "layout-negative-count",
             "layout-no-dimension",
+            "duplicate-word",
+            "alpha-bad-number",
+            "alpha-inf",
+            "eof-after-word",
+            "eof-then-blank-and-comment",
+            "bad-number-beats-inf-in-its-row",
         ],
     )
     def test_first_fault_of_a_block_names_its_line(self, edits, keep, message, line):
@@ -366,6 +386,17 @@ class TestLoadErrors:
             loads("\n".join(lines) + "\n")
         assert str(err.value) == f"{message} (line {line})"
         assert err.value.line == line
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS, ids=repr)
+    def test_other_line_breaks_are_whitespace_in_a_row(self, char):
+        lines = list(TWO_WORDS)
+        lines[3] = f"v 1.0{char}2.0 3.0 4.0{char}"
+        assert loads("\n".join(lines) + "\n") == loads("\n".join(TWO_WORDS) + "\n")
+        lines[9] = "v 0.5 x 1 2"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(LexiconFormatError) as err:
+            loads(text)
+        assert err.value.line == 10 == text[: text.index("x 1 2")].count("\n") + 1
 
     def test_bad_header_names_line_one(self):
         with pytest.raises(LexiconFormatError) as err:
