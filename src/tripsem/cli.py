@@ -79,7 +79,7 @@ def _parse_layout(text: str) -> SegmentLayout:
 
 def _read_words(path: str) -> list[str]:
     # read_text turns CRLF and CR into LF, so lines break at those three only
-    lines = (raw.strip() for raw in Path(path).read_text(encoding="utf-8").split("\n"))
+    lines = (raw.strip() for raw in Path(path).read_text(encoding="utf-8-sig").split("\n"))
     tokens = [line for line in lines if line and not line.startswith("#")]
     if not tokens:
         raise ValueError(f"no words found in {path}")
@@ -88,7 +88,7 @@ def _read_words(path: str) -> list[str]:
 
 def _read_one_tree(path: str):
     # read without newline translation, so error offsets count the file's characters
-    trees = parse_forest(Path(path).read_bytes().decode("utf-8"))
+    trees = parse_forest(Path(path).read_bytes().decode("utf-8-sig"))
     if len(trees) != 1:
         raise ValueError(f"{path} must contain exactly one tree, found {len(trees)}")
     return trees[0]

@@ -15,8 +15,10 @@ lexicon's default negation scale as a ``# mu_default <value>`` pragma
 comment; ``load`` honours it when present and otherwise defaults to 0.5,
 so hand-written files need not carry it. Lines break only at LF, CRLF
 and CR; any other line break is whitespace inside a row. ``loads`` reads
-the rows once, block by block, and raises a malformed lexicon's first
-fault, a bad ``# mu_default`` pragma included, at its line in file order.
+the lines in one pass, in file order, checking and converting each row as
+it meets it, so a malformed lexicon's first fault, a bad ``# mu_default``
+pragma included, is raised at its line. ``load`` skips a leading UTF-8
+byte order mark.
 
 Random initialization is reproducible across runs and platforms: it draws
 from numpy's PCG64 generator (``numpy.random.default_rng(seed)``), taking
@@ -29,8 +31,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import length_hint
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -184,98 +184,83 @@ def _row_name(token: str, r: int) -> str:
     return f"{('alpha', 'vector')[r] if r < 2 else f'matrix row {r - 1}'} of {token!r}"
 
 
-def _read_entries(rows: list, layout: SegmentLayout, last: int) -> dict[str, LexicalEntry]:
-    """The entries of the rows after the layout line, read block by block:
-    one ``float`` pass converts a block's numbers, up to its first row that
-    is missing or has a wrong keyword or count. The first fault is raised at
-    its line, in the order a row-by-row reading meets it: a row's keyword
-    and count, then its numbers. A repeated word and a negative alpha are
-    faults of the word row."""
-    n = layout.n
-    entries: dict[str, LexicalEntry] = {}
-    for first in range(2, len(rows), n + 2):
-        lineno, parts = rows[first]
-        if parts[0] != "word" or len(parts) != 3:
-            raise LexiconFormatError("expected 'word <token> <alpha>'", lineno)
-        token = parts[1]
-        if token in entries:
-            raise LexiconFormatError(f"duplicate word {token!r}", lineno)
-        block = rows[first : first + n + 2] + [(last, None)]  # None: past the end of the file
-        # stop: the first faulty row (n + 2: none), with its fault; later checks only lower it
-        stop = next(r for r, (_, p) in enumerate(block[1:], 1)
-                    if p is None or p[0] != "vm"[r > 1] or len(p) != n + 1)
-        if stop < n + 2:  # row stop is missing, or its keyword or count is wrong
-            row, key = block[stop][1], "vm"[stop > 1]
-            what = f"v line of {token!r}" if stop == 1 else _row_name(token, stop)
-            fault = (f"unexpected end of file, expected {what}" if row is None
-                     else f"expected '{key} ...' for {token!r}" if row[0] != key
-                     else f"{_row_name(token, stop)}: expected {n} values, got {len(row) - 1}")
-        texts = [parts[2], *chain.from_iterable(p[1:] for _, p in block[1:stop])]
-        left = iter(texts)
-        try:
-            values = np.fromiter(map(float, left), float, len(texts))
-        except ValueError:  # the text at i is no number; those before it are
-            i = len(texts) - 1 - length_hint(left)
-            stop = (i + n - 1) // n
-            fault = f"{_row_name(token, stop)}: bad number {texts[i]!r}"
-            values = np.fromiter(map(float, texts[:i]), float, i)
-        finite = np.isfinite(values)
-        if not finite.all() and (r := (int(np.argmin(finite)) + n - 1) // n) < stop:
-            stop, fault = r, f"{_row_name(token, r)}: non-finite value"
-        if stop and values[0] < 0.0:  # the word row is read, and its alpha is finite
-            alpha, stop = float(values[0]), 0
-            fault = f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}"
-        if stop < n + 2:
-            raise LexiconFormatError(fault, block[stop][0])
-        v, m = values[1 : n + 1], values[n + 1 :].reshape(n, n)
-        entries[token] = _entry(token, v, m, float(values[0]), layout)
-    return entries
+def _numbers(texts: list[str], lineno: int, token: str | None = None, r: int = 0) -> list[float]:
+    """The numbers of row ``r`` of ``token``'s block, or of the ``# mu_default``
+    pragma when ``token`` is None, all finite; else the row's fault: its first
+    text that is no number, or failing that a non-finite value."""
+    values: list[float] = []
+    try:
+        values.extend(map(float, texts))  # on a bad text, keeps the numbers before it
+    except ValueError:
+        fault = f"bad number {texts[len(values)]!r}"
+    else:  # the sum is finite when every value is, unless large values overflow it
+        if math.isfinite(sum(values)) or all(map(math.isfinite, values)):
+            return values
+        fault = "non-finite value"
+    raise LexiconFormatError(f"{_row_name(token, r) if token else 'mu_default'}: {fault}", lineno)
 
 
 def loads(text: str) -> Lexicon:
-    mu_default = 0.5
-    pragma_fault: LexiconFormatError | None = None
-    rows: list[tuple[int, list[str]]] = []
+    mu_default, layout, token = 0.5, None, None
+    entries: dict[str, LexicalEntry] = {}
+    row = -2  # the row expected next: -2 header, -1 layout, then per word 0 word, 1 v, 2.. m
     # lines end at LF, CRLF and CR only; a final line break starts no line
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
-        if not stripped:
-            continue
         if stripped.startswith("#"):
             parts = stripped[1:].split()
-            if len(parts) == 2 and parts[0] == "mu_default" and pragma_fault is None:
-                try:
-                    mu_default = float(parts[1])
-                    fault = (None if 0.0 < mu_default <= 1.0
-                             else "mu_default: non-finite value" if not math.isfinite(mu_default)
-                             else f"mu_default must lie in (0, 1], got {mu_default!r}")
-                except ValueError:
-                    fault = f"mu_default: bad number {parts[1]!r}"
-                pragma_fault = LexiconFormatError(fault, lineno) if fault else None
+            if len(parts) == 2 and parts[0] == "mu_default":
+                (mu_default,) = _numbers(parts[1:], lineno)
+                if not 0.0 < mu_default <= 1.0:
+                    raise LexiconFormatError(
+                        f"mu_default must lie in (0, 1], got {mu_default!r}", lineno)
             continue
-        rows.append((lineno, stripped.split()))
-    last = len(lines) - (not lines[-1])
-
-    try:
-        if not rows:
-            raise LexiconFormatError("unexpected end of file, expected header", last)
-        if rows[0][1] != MAGIC.split():
-            raise LexiconFormatError(f"bad header, expected {MAGIC!r}", rows[0][0])
-        if len(rows) == 1:
-            raise LexiconFormatError("unexpected end of file, expected layout line", last)
-        lineno, parts = rows[1]
-        if len(parts) != 4 or parts[0] != "layout":
-            raise LexiconFormatError("expected 'layout <d_domain> <d_stable> <d_inverted>'", lineno)
-        try:
-            layout = SegmentLayout(int(parts[1]), int(parts[2]), int(parts[3]))
-        except ValueError as exc:
-            raise LexiconFormatError(f"bad layout: {exc}", lineno) from None
-        entries = _read_entries(rows, layout, last)
-    except LexiconFormatError as exc:  # a bad pragma is reported in its place in file order
-        raise (pragma_fault if pragma_fault and pragma_fault.line <= exc.line else exc) from None
-    if pragma_fault:
-        raise pragma_fault
+        parts = stripped.split()
+        if not parts:
+            continue
+        if row == -2:
+            if parts != MAGIC.split():
+                raise LexiconFormatError(f"bad header, expected {MAGIC!r}", lineno)
+        elif row == -1:
+            if len(parts) != 4 or parts[0] != "layout":
+                raise LexiconFormatError(
+                    "expected 'layout <d_domain> <d_stable> <d_inverted>'", lineno)
+            try:
+                layout = SegmentLayout(int(parts[1]), int(parts[2]), int(parts[3]))
+            except ValueError as exc:
+                raise LexiconFormatError(f"bad layout: {exc}", lineno) from None
+            n = layout.n
+        elif row == 0:
+            if parts[0] != "word" or len(parts) != 3:
+                raise LexiconFormatError("expected 'word <token> <alpha>'", lineno)
+            token = parts[1]
+            if token in entries:
+                raise LexiconFormatError(f"duplicate word {token!r}", lineno)
+            (alpha,) = _numbers(parts[2:], lineno, token)
+            if alpha < 0.0:
+                raise LexiconFormatError(
+                    f"invalid entry {token!r}: alpha must be finite and >= 0, got {alpha!r}",
+                    lineno)
+            values: list[float] = []
+        else:
+            key = "vm"[row > 1]
+            if parts[0] != key:
+                raise LexiconFormatError(f"expected '{key} ...' for {token!r}", lineno)
+            if len(parts) != n + 1:
+                raise LexiconFormatError(
+                    f"{_row_name(token, row)}: expected {n} values, got {len(parts) - 1}", lineno)
+            values += _numbers(parts[1:], lineno, token, row)
+            if row == n + 1:  # the block is complete
+                block = np.array(values)
+                entries[token] = _entry(token, block[:n], block[n:].reshape(n, n), alpha, layout)
+                row = -1
+        row += 1
+    if row:  # the file ends before its layout line or inside a word's block
+        what = {-2: "header", -1: "layout line", 1: f"v line of {token!r}"}.get(row)
+        raise LexiconFormatError(
+            f"unexpected end of file, expected {what or _row_name(token, row)}",
+            len(lines) - (not lines[-1]))
     return Lexicon(layout, entries, mu_default)
 
 
@@ -284,4 +269,4 @@ def save(lex: Lexicon, destination: str | Path):
 
 
 def load(source: str | Path) -> Lexicon:
-    return loads(Path(source).read_text(encoding="utf-8"))
+    return loads(Path(source).read_text(encoding="utf-8-sig"))

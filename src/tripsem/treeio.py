@@ -58,6 +58,9 @@ class ParseTree:
 
     @classmethod
     def node(cls, tag: str, children) -> "ParseTree":
+        """A node over ``children``. Each call copies its children's nodes into
+        new flat arrays, O(size), so a depth-d chain built bottom-up costs
+        O(d²); ``parse_bracketed`` reads a tree of any depth in one pass."""
         _check_word(tag, "tag")
         tags, tokens, starts, arity, count = [], [], [], [], 0
         for count, child in enumerate(children, 1):

@@ -1,5 +1,6 @@
 """CLI behavior: report formats, exit codes, determinism."""
 
+import codecs
 import math
 import re
 import shlex
@@ -592,6 +593,50 @@ class TestVerify:
         assert report[-1] == "verify result: FAIL"
         assert "verify value_only.solver: min-norm" in report
         assert "verify joint.solver: structured" in report
+
+
+def bom_copy(path, tmp_path):
+    """A copy of ``path`` saved with a UTF-8 byte order mark in front."""
+    copy = tmp_path / f"bom-{path.name}"
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    """A file saved with a leading byte order mark reads as the file without it."""
+
+    def test_words_file_writes_the_same_lexicon(self, tmp_path, fixtures_dir):
+        words = fixtures_dir / "words.txt"
+        written = []
+        for source in (words, bom_copy(words, tmp_path)):
+            written.append(tmp_path / f"{source.stem}.lex")
+            assert run(["lexicon-init", "--words", str(source), "--out", str(written[-1])]) == 0
+        assert written[0].read_bytes() == written[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "command", [["compose", "--tree", "figure3.tree"], ["verify", "double-negation"]]
+    )
+    def test_lexicon_and_tree_files_give_the_same_report(
+        self, tmp_path, fixtures_dir, capsys, command
+    ):
+        reports = []
+        for copy in (lambda path: path, lambda path: bom_copy(path, tmp_path)):
+            args = [str(copy(fixtures_dir / a)) if a.endswith(".tree") else a for a in command]
+            code = run([*args, "--lexicon", str(copy(fixtures_dir / "demo.lex"))])
+            assert code == 0
+            # the rows that name the input files differ; every other row must not
+            reports.append([row for row in lines_of(capsys) if str(tmp_path) not in row
+                            and str(fixtures_dir) not in row])
+        assert reports[0] == reports[1]
+        assert reports[0][-1] in ("compose root.alpha: 1.0", "verify result: PASS")
+
+    def test_tree_offsets_count_from_after_the_mark(self, demo_lexicon_path, tmp_path, capsys):
+        tree = tmp_path / "truncated.tree"
+        tree.write_bytes(codecs.BOM_UTF8 + b"(W car)\n\n(S (W is)\n")
+        assert run(["compose", *DEMO_ARGS(demo_lexicon_path), "--tree", str(tree)]) == 2
+        assert capsys.readouterr().err == (
+            "tripsem: unbalanced brackets: unexpected end of input (offset 18)\n"
+        )
 
 
 class TestArgumentErrors:

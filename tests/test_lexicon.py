@@ -267,6 +267,12 @@ class TestSerialization:
         )
         assert loads(decorated) == lex
 
+    def test_finite_values_whose_sum_overflows_load(self):
+        lines = list(TWO_WORDS)
+        lines[3] = "v 1e308 1e308 1e308 -1.7976931348623157e308"
+        values = loads("\n".join(lines) + "\n")["a"].v.values
+        assert values.tolist() == [1e308, 1e308, 1e308, -1.7976931348623157e308]
+
     @given(
         st.lists(
             st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -355,6 +361,19 @@ class TestLoadErrors:
                 15,
             ),
             ({10: "v inf x 1 2"}, 14, "vector of 'b': bad number 'x'", 10),
+            ({2: "layout 2 1 1\n# mu_default inf"}, 14, "mu_default: non-finite value", 3),
+            (
+                {12: "m 0 2 0 0\n# mu_default 2"},
+                12,
+                "mu_default must lie in (0, 1], got 2.0",
+                13,
+            ),
+            (
+                {3: "word a 1.0\n# mu_default 0.25\n"},
+                3,
+                "unexpected end of file, expected v line of 'a'",
+                5,
+            ),
         ],
         ids=[
             "v-keyword",
@@ -378,6 +397,9 @@ class TestLoadErrors:
             "eof-after-word",
             "eof-then-blank-and-comment",
             "bad-number-beats-inf-in-its-row",
+            "pragma-inf",
+            "bad-pragma-on-the-last-line-of-a-truncated-block",
+            "eof-after-a-valid-pragma-and-a-blank-line",
         ],
     )
     def test_first_fault_of_a_block_names_its_line(self, edits, keep, message, line):
@@ -475,8 +497,26 @@ class TestLoadErrors:
         assert "duplicate" in str(err.value)
 
     def test_empty_input(self):
-        with pytest.raises(LexiconFormatError):
+        with pytest.raises(LexiconFormatError) as err:
             loads("")
+        assert str(err.value) == "unexpected end of file, expected header (line 0)"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# a comment\n\n# mu_default 0.25", "expected header (line 3)"),
+            ("TRIPSEM 1\n\n", "expected layout line (line 2)"),
+        ],
+        ids=["comments-only", "header-only"],
+    )
+    def test_a_file_that_ends_before_its_layout_line(self, text, message):
+        with pytest.raises(LexiconFormatError) as err:
+            loads(text)
+        assert str(err.value) == f"unexpected end of file, {message}"
+
+    def test_header_and_layout_alone_are_an_empty_lexicon(self):
+        lex = loads("TRIPSEM 1\nlayout 2 1 1\n")
+        assert lex == Lexicon(LAY211) and len(lex) == 0 and lex.mu_default == 0.5
 
 
 # Lines that are faulty, or out of place, almost anywhere in a lexicon
