@@ -15,7 +15,6 @@ model can. ``tripsem.composition`` defines the two composition models.
 from .analysis import (
     FitResult,
     SampleSet,
-    ScopeInvarianceReport,
     check_double_negation,
     default_demo_samples,
     domain_similarity,
@@ -72,7 +71,6 @@ __all__ = [
     "fit_negation_baseline",
     "fit_negation_improved",
     "check_double_negation",
-    "ScopeInvarianceReport",
     "scope_invariance_report",
     "domain_similarity",
     "value_similarity",

@@ -63,7 +63,6 @@ __all__ = [
     "fit_negation_baseline",
     "fit_negation_improved",
     "check_double_negation",
-    "ScopeInvarianceReport",
     "scope_invariance_report",
     "domain_similarity",
     "value_similarity",
@@ -427,56 +426,36 @@ def check_double_negation(
     )
 
 
-@dataclass(frozen=True)
-class ScopeInvarianceReport:
-    """Root-matrix response to perturbing the negation word's function.
-
-    ``delta`` is the Frobenius norm of the root-matrix difference between
-    composing with M_not and with M_not + perturbation. Under the improved
-    model with alpha_not = 0 the perturbation cannot leave the negation's
-    own composition step and delta is 0; under the baseline default it
-    propagates additively and delta equals the perturbation norm.
-    """
-
-    model: str
-    delta: float
-    perturbation_norm: float
-
-
 def scope_invariance_report(
-    tree: ParseTree,
-    lexicon: Lexicon,
-    cfg: CompositionConfig,
-    perturbation: FunctionMatrix,
-    token: str = "not",
-) -> ScopeInvarianceReport:
-    """Measure how far a change to the negation word's matrix travels.
+    tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig, perturbation: FunctionMatrix
+) -> float:
+    """How far a change to the negation word's matrix travels: the Frobenius
+    norm of the root-matrix difference between composing with M_not and with
+    M_not + perturbation. Under the improved model with alpha_not = 0 the
+    perturbation cannot leave the negation's own composition step and the
+    delta is 0; under the baseline default it propagates additively and the
+    delta equals |perturbation|_F.
 
     The tree is right-binarized internally, so the raw n-ary parse can be
-    passed in. It must contain exactly one ``token`` leaf.
+    passed in. It must contain exactly one ``not`` leaf.
     """
     if perturbation.layout != lexicon.layout:
         raise DimensionError(
             f"perturbation layout {perturbation.layout} does not match "
             f"lexicon layout {lexicon.layout}"
         )
-    found = tree.fringe().count(token)
+    found = tree.fringe().count("not")
     if found != 1:
-        raise ValueError(f"tree must contain exactly one {token!r} leaf, found {found}")
+        raise ValueError(f"tree must contain exactly one 'not' leaf, found {found}")
     binary = binarize(tree)
-    base_entry = lexicon[token]
+    base_entry = lexicon["not"]
     root = compose_tree(binary, lexicon, cfg)
     perturbed_entry = replace(
         base_entry,
         M=FunctionMatrix(base_entry.M.entries + perturbation.entries, lexicon.layout),
     )
     root_perturbed = compose_tree(binary, lexicon.with_entry(perturbed_entry), cfg)
-    delta = float(np.linalg.norm(root_perturbed.M.entries - root.M.entries))
-    return ScopeInvarianceReport(
-        model=cfg.model,
-        delta=delta,
-        perturbation_norm=float(np.linalg.norm(perturbation.entries)),
-    )
+    return scaled_norm(root_perturbed.M.entries - root.M.entries)
 
 
 # ---------------------------------------------------------------------------

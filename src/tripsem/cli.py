@@ -253,18 +253,18 @@ def _verify_scope(lex: Lexicon, args) -> tuple[list, bool]:
         scope_invariance_report(tree, lex, CompositionConfig(model=model), perturbation)
         for model in MODELS
     )
-    p_norm = baseline.perturbation_norm
-    baseline_error = abs(baseline.delta - p_norm)
+    p_norm = scaled_norm(perturbation.entries)
+    baseline_error = abs(baseline - p_norm)
     rows = [
         ("tree", args.tree),
         ("perturbation_norm", p_norm),
-        ("baseline.delta", baseline.delta),
+        ("baseline.delta", baseline),
         ("baseline.error", baseline_error),
-        ("improved.delta", improved.delta),
+        ("improved.delta", improved),
         ("tolerance", SCOPE_TOL),
     ]
     return rows, (
-        improved.delta <= SCOPE_TOL
+        improved <= SCOPE_TOL
         and baseline_error <= SCOPE_TOL * max(1.0, p_norm)
     )
 

@@ -18,14 +18,14 @@ right, joined by single spaces. Joining is associative, so a tree's root
 token does not depend on how the tree was binarized.
 
 Both public functions run one step kernel, ``_step``, on plain arrays.
-``compose_tree`` runs it over a binary tree's flat post-order arrays:
-each bottom level of at least ``WIDE`` nodes of equal height as one stack
-through ``@``, the narrow top node by node through ``ndarray.dot``, which
-costs less per call and gives the same bits (tested). Finiteness is tested
-apart from the step, once: ``compose_pair`` tests its parent,
-``compose_tree`` only its root, and each wraps those arrays as they are in
-a ``LexicalEntry``. On a fault ``compose_tree`` runs the whole tree again
-one node at a time (see there why that is exact).
+``compose_tree`` runs a tree with wide levels as one list of steps over one
+results array: each bottom level of at least ``WIDE`` nodes of equal height
+as one stack through ``@``, each top node through ``ndarray.dot`` (the same
+bits, tested) into its internal child's row; other trees node by node.
+Finiteness is tested apart from the step, once: ``compose_pair`` tests its
+parent, ``compose_tree`` only its root, and each wraps those arrays as they
+are in a ``LexicalEntry``. On a fault ``compose_tree`` runs the whole tree
+again one node at a time (see there why that is exact).
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def _step(va, ma, aa, vb, mb, ab, baseline: bool, where, top=max, dot=np.ndarray
     One node is v (n,), M (n, n) and float alphas, its matvecs run by
     ``ndarray.dot``. A stack of k nodes is v (k, n, 1), M (k, n, n) and
     alphas (k, 1, 1), with ``top=np.maximum`` and ``dot=np.matmul``: the same
-    bits, tested, but a Z = 0 weight is left as NaN in M for the caller's
-    finiteness test. ``where()`` names the step, only to word an error.
+    bits, tested. With numpy alphas, a stack's or one node's scalars, a
+    Z = 0 weight is left as NaN in M for the caller's finiteness test; with
+    float alphas it raises, and ``where()`` names the step in the error.
     Callers test the parent with ``_check_finite`` and hold numpy's overflow
     and invalid-value warnings off."""
     v = dot(ma, vb) + dot(mb, va)
@@ -120,13 +121,12 @@ def _wide_levels(starts, lo: int, arity: bytes) -> tuple:
 
     Level h is the internal nodes of height h, as the indices (k,) of them
     and of their left and right children; every child is a leaf or in a
-    lower level. Also returns the post-order in which the fold visits the
-    rest: the top's nodes and the leaves and level roots they take. Indices
-    count from lo."""
+    lower level. Also returns the rest, the top, as the same three arrays,
+    in post-order. Indices count from lo."""
     # in post-order, each node of height 1 is the run: leaf, leaf, node; a
     # tree of fewer than 2 WIDE such nodes composes faster node by node
     if arity.count(b"\0\0\2") < 2 * WIDE:
-        return [], None
+        return [], ()
     arity = np.frombuffer(arity, np.uint8)
     inner = np.flatnonzero(arity)
     right = inner - 1  # and the left child ends where the right one starts
@@ -140,18 +140,17 @@ def _wide_levels(starts, lo: int, arity: bytes) -> tuple:
         levels.append((inner[up], left[up], right[up]))
         done[inner[up]] = True
         inner, left, right = inner[~up], left[~up], right[~up]
-    taken = np.concatenate([left[done[left]], right[done[right]]])
-    return levels, np.sort(np.concatenate([inner, taken]))
+    return levels, (inner, left, right)
 
 
 def _plan(tree: ParseTree) -> tuple:
     """What composing ``tree`` needs that no lexicon changes, as the tuple
-    (leaves, steps, top, roots, phrase): the unique leaf tokens, which take
-    the first rows of the results; each stacked step as (out, a, b, where),
-    the rows of its results and of their children; the nodes the fold
-    visits, in order, each with its token or a level root's row (None if it
-    visits all); the level roots' rows; and the root's token. Raises
-    ``TreeArityError`` unless every node has 0 or 2 children."""
+    (leaves, rows, steps, phrase): the unique leaf tokens, which take the
+    first rows of the results; the number of rows; the steps, each as
+    (out, a, b), the rows of its results and of their children, a slice
+    and two index arrays for a chunk of a level and three ints for a top
+    node; and the root's token. Without wide levels, leaves and steps are
+    empty. Raises ``TreeArityError`` unless every node has 0 or 2 children."""
     tokens = tree._tokens
     lo, starts, arity = _shape(tree)
     if arity.translate(None, b"\0\2"):
@@ -162,29 +161,29 @@ def _plan(tree: ParseTree) -> tuple:
         )
     fringe = tuple(filter(None, tokens[lo : lo + len(arity)]))
     phrase = " ".join(fringe)
-    levels, order = _wide_levels(starts, lo, arity)
+    levels, top = _wide_levels(starts, lo, arity)
     if not levels:
-        return (), [], None, (), phrase
+        return (), 0, [], phrase
     leaf_rows = {t: r for r, t in enumerate(dict.fromkeys(fringe))}
-    # row[j]: the row of node lo + j in the results, -1 for a top node
+    # row[j]: the row of node lo + j in the results
     row = np.full(len(arity), -1)
     row[np.frombuffer(arity, np.uint8) == 0] = list(map(leaf_rows.get, fringe))
     steps, end = [], len(leaf_rows)
-    for height, (nodes, left, right) in enumerate(levels, 1):
+    for nodes, left, right in levels:
         row[nodes] = np.arange(end, end + len(nodes))
         a, b = row[left], row[right]
-
-        def where(k=len(nodes), height=height) -> str:
-            return f"{k} nodes of height {height}"
-
         for s in range(0, len(nodes), CHUNK):
             ca, cb = a[s : s + CHUNK], b[s : s + CHUNK]
-            steps.append((slice(end + s, end + s + len(ca)), ca, cb, where))
+            steps.append((slice(end + s, end + s + len(ca)), ca, cb))
         end += len(nodes)
-    # the fold's tokens: a level root's is its row, where stacked() keeps it
-    rows, first = row[order].tolist(), len(leaf_rows)
-    top = {j: tokens[j] if r < first else r for j, r in zip((order + lo).tolist(), rows)}
-    return tuple(leaf_rows), steps, top, [r for r in rows if r >= first], phrase
+    # a top node has height 2 or more, so an internal child, whose row only
+    # it reads: it writes its result there
+    row = row.tolist()
+    for j, left, right in zip(*(nodes.tolist() for nodes in top)):
+        a, b = row[left], row[right]
+        row[j] = a if arity[left] else b
+        steps.append((row[j], a, b))
+    return tuple(leaf_rows), end, steps, phrase
 
 
 def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> LexicalEntry:
@@ -199,21 +198,23 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     least ``WIDE`` nodes runs as one stacked step, ``CHUNK`` nodes at a
     time, into one results array: the unique leaf entries, then the levels'
     nodes, about 8 n^2 bytes per node (2.1 MB for a balanced 4096-leaf tree
-    at n = 8). The narrow top is a loop over the post-order arrays with a
-    stack of plain (v, M, alpha) arrays: a leaf or a level's root pushes
-    its arrays, an internal node replaces its two children by the step
-    ``compose_pair`` runs. A stack of nodes gives the same bits as one
-    node, so the root is bit for bit the post-order fold of
-    ``compose_pair``, token for token. A leaf root is its lexicon entry,
-    any other a new ``LexicalEntry`` named ``" ".join(tree.fringe())``.
+    at n = 8). Each node of the narrow top then runs as a one-node step over
+    the same array, into the row of its internal child, which only it reads.
+    Other trees fold the post-order arrays with a stack of plain
+    (v, M, alpha) arrays: a leaf pushes its arrays, an internal node
+    replaces its two children by the step ``compose_pair`` runs. A stack of
+    nodes gives the same bits as one node, so the root is bit for bit the
+    post-order fold of ``compose_pair``, token for token. A leaf root is its
+    lexicon entry, any other a new ``LexicalEntry`` named
+    ``" ".join(tree.fringe())``.
 
-    What does not depend on the lexicon (the arity check, the levels and
-    their rows, the unique leaves, the fold's order, the root's token) is
-    planned once per tree object by ``_plan`` and kept in the tree, once a
-    compose has succeeded; later calls on the same object, under either
-    model or another lexicon, only look up the leaves, run the steps and
-    fold the top. The plan of a balanced 4096-leaf tree of 6-letter words
-    holds about 114 KB: 65 KB of row indices and the 29 KB root token.
+    What does not depend on the lexicon (the arity check, the steps and
+    their rows, the unique leaves, the root's token) is planned once per
+    tree object by ``_plan`` and kept in the tree, once a compose has
+    succeeded; later calls on the same object, under either model or
+    another lexicon, only look up the leaves and run the steps or the fold.
+    The plan of a balanced 4096-leaf tree of 6-letter words holds about
+    113 KB: 65 KB of row indices and the 29 KB root token.
 
     Arity is checked first, over the whole tree: the first node in
     post-order with other than two children raises ``TreeArityError``
@@ -225,41 +226,44 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
 
     Finiteness is tested at the root only, which is exact: a NaN or inf in
     any node reaches the root, as the matrix rule is elementwise (``0 * inf``
-    is NaN) and ``M @ v`` skips only zero entries of v; a level leaves a
-    Z = 0 weight as NaN. On a non-finite root or an error the fold runs
-    again over every node, one at a time, testing each step, to raise the
-    first fault.
+    is NaN) and ``M @ v`` skips only zero entries of v; a level or top step
+    leaves a Z = 0 weight as NaN. On a non-finite root or an error the fold
+    runs again over every node, one at a time, testing each step, to raise
+    the first fault.
     """
     plan = tree._plan or _plan(tree)
-    leaf_tokens, steps, top, roots, phrase = plan
+    leaf_tokens, rows, steps, phrase = plan
     tokens, hi = tree._tokens, tree._i + 1
     baseline = cfg.model == "baseline"
 
-    def stacked() -> dict:
-        """Run the stacked steps; return the level roots the fold takes, by row."""
-        if not steps:
-            return {}
-        n, rows = lexicon.layout.n, steps[-1][0].stop
+    def stacked() -> tuple:
+        """Run the steps over one results array; return the root's arrays."""
+        n = lexicon.layout.n
         vs, ms, alphas = np.empty((rows, n, 1)), np.empty((rows, n, n)), np.empty((rows, 1, 1))
         end = len(leaf_tokens)
         entries = [lexicon[token] for token in leaf_tokens]
         vs[:end, :, 0] = [entry.v.values for entry in entries]
         ms[:end] = [entry.M.entries for entry in entries]
         alphas[:end, 0, 0] = [entry.alpha for entry in entries]
-        for out, a, b, where in steps:
-            vs[out], ms[out], alphas[out] = _step(
-                vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline, where,
-                top=np.maximum, dot=np.matmul,
-            )
-        return {r: (vs[r, :, 0], ms[r], float(alphas[r, 0, 0])) for r in roots}
+        v1, a1 = vs[:, :, 0], alphas[:, 0, 0]
+        for out, a, b in steps:
+            if type(out) is int:  # a top node, its alphas numpy scalars
+                v1[out], ms[out], a1[out] = _step(
+                    v1[a], ms[a], a1[a], v1[b], ms[b], a1[b], baseline, None
+                )
+            else:
+                vs[out], ms[out], alphas[out] = _step(
+                    vs[a], ms[a], alphas[a], vs[b], ms[b], alphas[b], baseline, None,
+                    top=np.maximum, dot=np.matmul,
+                )
+        return v1[out].copy(), ms[out].copy(), float(a1[out])  # copies: a root must not pin vs
 
-    def fold(order, tokens, leaves: dict, checked: bool) -> tuple:
-        # tokens[j]: node j's token, or a level root's row, a key of leaves
+    def fold(checked: bool) -> tuple:
         def where() -> str:  # reads the loop's j: the node being composed
             return _describe(tree, j)
 
-        stack: list[tuple] = []
-        for j in order:
+        stack, leaves = [], {}
+        for j in range(tree._first(), hi):
             token = tokens[j]
             if token is not None:
                 leaf = leaves.get(token)
@@ -277,12 +281,12 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            v, m, alpha = fold(top or range(tree._first(), hi), top or tokens, stacked(), False)
+            v, m, alpha = stacked() if steps else fold(False)
             _check_finite(v, m, lambda: _describe(tree, hi - 1))
         except (UnknownTokenError, ValueError):
             v = None
         if v is None:
-            fold(range(tree._first(), hi), tokens, {}, checked=True)  # raises the first fault
+            fold(checked=True)  # raises the first fault
     tree._plan = plan
     if tokens[hi - 1] is not None:
         return lexicon[tokens[hi - 1]]

@@ -1,5 +1,6 @@
 """The composition step under both models, and tree-driven composition."""
 
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -184,7 +185,9 @@ def test_compose_pair_and_compose_tree_run_one_step(monkeypatch, not_and_blue):
     step = composition._step
 
     def counted(*args, **kwargs):
-        calls.append(args[-1]())
+        # a labelled step's label; an unlabelled one's count of nodes
+        where, ma = args[7], args[1]
+        calls.append(where() if where else len(ma) if ma.ndim == 3 else 1)
         return step(*args, **kwargs)
 
     monkeypatch.setattr(composition, "_step", counted)
@@ -200,10 +203,7 @@ def test_compose_pair_and_compose_tree_run_one_step(monkeypatch, not_and_blue):
     # the two wide levels of a balanced 64-leaf tree, then its narrow top node by node
     calls.clear()
     compose_tree(parse_bracketed(balanced_text(["(W blue)"] * 64)), lex, IMPROVED)
-    assert calls[:2] == ["32 nodes of height 1", "16 nodes of height 2"]
-    assert len(calls) == 2 + 8 + 4 + 2 + 1
-    assert calls[2] == "node 'S' over leaves 1-8"
-    assert calls[-1] == "node 'S' over leaves 1-64"
+    assert calls == [32, 16] + [1] * (8 + 4 + 2 + 1)
 
 
 def test_compose_pair_dispatches_on_model(not_and_blue):
@@ -894,6 +894,32 @@ class TestBuiltEntries:
 
 
 class TestDeepChain:
+    def test_a_deep_top_over_wide_levels_keeps_its_memory_and_bits(self):
+        """A chain 3000 deep over a balanced 256-leaf subtree at n = 8: the
+        subtree's levels run stacked and the 3000 top nodes one at a time.
+        Each top node writes into its internal child's row, so the results
+        array does not grow with the top (a fresh row per top node would add
+        about 1.8 MB), and the root is the ``compose_pair`` fold's."""
+        lexicon = plan_lexicons()[0]
+        rng = np.random.default_rng(8)
+        bottom = balanced_text([f"(W {PLAN_WORDS[k]})" for k in rng.integers(0, 30, 256)])
+        chain = [PLAN_WORDS[k] for k in rng.integers(0, 30, 3000)]
+        tree = parse_bracketed("".join(f"(X (W {t}) " for t in chain) + bottom + ")" * 3000)
+        assert wide_levels(tree)
+        for cfg in (DEFAULT, IMPROVED):
+            compose_tree(tree, lexicon, cfg)  # plans the tree
+            tracemalloc.start()
+            try:
+                root = compose_tree(tree, lexicon, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            want = fold(parse_bracketed(bottom), lexicon, cfg)
+            for token in reversed(chain):
+                want = compose_pair(lexicon[token], want, cfg)
+            assert_same_root(root, want)
+
     def test_hundred_thousand_levels_compose_like_an_explicit_loop(self):
         """A right-branching chain 10^5 deep over words whose M = 0.5 I:
         the vectors stay bounded, and an explicit loop from the bottom

@@ -48,6 +48,7 @@ COMMANDS = {
     "verify_improved_fit": ["verify", "improved-fit", *LEX],
     "verify_double_negation": ["verify", "double-negation", *LEX],
     "verify_scope": ["verify", "scope", *LEX, "--tree", TREE],
+    "verify_scope_wide": ["verify", "scope", *LEX, "--tree", WIDE],
     "negate_blue": ["negate", *LEX, "--word", "blue"],
     "sim_domain": [*SIM, "--region", "domain"],
     "sim_value": [*SIM, "--region", "value"],
