@@ -21,7 +21,9 @@ Both public functions run one step kernel, ``_step``, on plain arrays.
 ``compose_tree`` runs a tree with wide levels as one list of steps over one
 results array: each bottom level of at least ``WIDE`` nodes of equal height
 as one stack through ``@``, each top node through ``ndarray.dot`` (the same
-bits, tested) into its internal child's row; other trees node by node.
+bits, tested); other trees node by node. The array has a row for each unique
+leaf and each node of the lowest level. A node above that level has height 2
+or more, so an internal child, whose row only it reads: it writes there.
 Finiteness is tested apart from the step, once: ``compose_pair`` tests its
 parent, ``compose_tree`` only its root, and each wraps those arrays as they
 are in a ``LexicalEntry``. On a fault ``compose_tree`` runs the whole tree
@@ -148,9 +150,10 @@ def _plan(tree: ParseTree) -> tuple:
     (leaves, rows, steps, phrase): the unique leaf tokens, which take the
     first rows of the results; the number of rows; the steps, each as
     (out, a, b), the rows of its results and of their children, a slice
-    and two index arrays for a chunk of a level and three ints for a top
-    node; and the root's token. Without wide levels, leaves and steps are
-    empty. Raises ``TreeArityError`` unless every node has 0 or 2 children."""
+    (in the lowest level) or an index array and two index arrays for a chunk
+    of a level and three ints for a top node; and the root's token. Without
+    wide levels, leaves and steps are empty. Raises ``TreeArityError``
+    unless every node has 0 or 2 children."""
     tokens = tree._tokens
     lo, starts, arity = _shape(tree)
     if arity.translate(None, b"\0\2"):
@@ -159,31 +162,32 @@ def _plan(tree: ParseTree) -> tuple:
             f"node {wide.tag!r} has {len(wide.children)} children; "
             "composition needs a binary tree (binarize first)"
         )
-    fringe = tuple(filter(None, tokens[lo : lo + len(arity)]))
+    # a list: tuple() grows by reallocation over an iterator, creeping the heap
+    fringe = list(filter(None, tokens[lo : lo + len(arity)]))
     phrase = " ".join(fringe)
     levels, top = _wide_levels(starts, lo, arity)
     if not levels:
         return (), 0, [], phrase
     leaf_rows = {t: r for r, t in enumerate(dict.fromkeys(fringe))}
-    # row[j]: the row of node lo + j in the results
-    row = np.full(len(arity), -1)
+    # row[j]: the row of node lo + j in the results: a new one in the lowest
+    # level, above it the row of an internal child (see the module docstring)
+    row, steps, rows = np.full(len(arity), -1), [], len(leaf_rows) + len(levels[0][0])
     row[np.frombuffer(arity, np.uint8) == 0] = list(map(leaf_rows.get, fringe))
-    steps, end = [], len(leaf_rows)
-    for nodes, left, right in levels:
-        row[nodes] = np.arange(end, end + len(nodes))
+    row[levels[0][0]] = np.arange(len(leaf_rows), rows)
+    for level, (nodes, left, right) in enumerate(levels):
         a, b = row[left], row[right]
+        if level:  # a row below len(leaf_rows) is a leaf's
+            row[nodes] = np.where(a >= len(leaf_rows), a, b)
         for s in range(0, len(nodes), CHUNK):
-            ca, cb = a[s : s + CHUNK], b[s : s + CHUNK]
-            steps.append((slice(end + s, end + s + len(ca)), ca, cb))
-        end += len(nodes)
-    # a top node has height 2 or more, so an internal child, whose row only
-    # it reads: it writes its result there
+            o = row[nodes[s : s + CHUNK]]  # consecutive in the lowest level: a slice
+            o = o if level else slice(o[0], o[-1] + 1)
+            steps.append((o, a[s : s + CHUNK], b[s : s + CHUNK]))
     row = row.tolist()
     for j, left, right in zip(*(nodes.tolist() for nodes in top)):
         a, b = row[left], row[right]
         row[j] = a if arity[left] else b
         steps.append((row[j], a, b))
-    return tuple(leaf_rows), end, steps, phrase
+    return tuple(leaf_rows), rows, steps, phrase
 
 
 def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> LexicalEntry:
@@ -196,11 +200,10 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     narrow going up. In a tree of at least ``2 * WIDE`` nodes of height 1
     (so no chain, nor any tree of under 64 leaves), each bottom level of at
     least ``WIDE`` nodes runs as one stacked step, ``CHUNK`` nodes at a
-    time, into one results array: the unique leaf entries, then the levels'
-    nodes, about 8 n^2 bytes per node (2.1 MB for a balanced 4096-leaf tree
-    at n = 8). Each node of the narrow top then runs as a one-node step over
-    the same array, into the row of its internal child, which only it reads.
-    Other trees fold the post-order arrays with a stack of plain
+    time, then each node of the narrow top as a one-node step, over one
+    results array (see the module docstring) of 8 (n^2 + n + 1) bytes a
+    row: 1.2 MB for a balanced 4096-leaf tree of 64 words at n = 8, 18 MB
+    at n = 32. Other trees fold the post-order arrays with a stack of plain
     (v, M, alpha) arrays: a leaf pushes its arrays, an internal node
     replaces its two children by the step ``compose_pair`` runs. A stack of
     nodes gives the same bits as one node, so the root is bit for bit the
@@ -214,7 +217,7 @@ def compose_tree(tree: ParseTree, lexicon: Lexicon, cfg: CompositionConfig) -> L
     succeeded; later calls on the same object, under either model or
     another lexicon, only look up the leaves and run the steps or the fold.
     The plan of a balanced 4096-leaf tree of 6-letter words holds about
-    113 KB: 65 KB of row indices and the 29 KB root token.
+    129 KB: 82 KB of row indices and the 29 KB root token.
 
     Arity is checked first, over the whole tree: the first node in
     post-order with other than two children raises ``TreeArityError``

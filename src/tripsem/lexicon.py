@@ -116,6 +116,8 @@ def init_random(
         raise ValueError(f"duplicate tokens: {', '.join(dupes)}")
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     n = layout.n
     rng = np.random.default_rng(seed)
     eye = np.eye(n)

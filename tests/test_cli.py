@@ -109,6 +109,16 @@ class TestLexiconInit:
         assert code == 2
         assert "layout must be D,S,I" in capsys.readouterr().err
 
+    def test_a_negative_seed_names_the_seed(self, tmp_path, fixtures_dir, capsys):
+        out = tmp_path / "x.lex"
+        words = str(fixtures_dir / "words.txt")
+        code = run(["lexicon-init", "--words", words, "--out", str(out), "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tripsem: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_overflowing_noise_is_one_line_without_numpy_warnings(self, tmp_path, fixtures_dir):
         # a subprocess, so that numpy's warnings reach stderr unfiltered
         result = subprocess.run(

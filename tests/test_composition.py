@@ -833,6 +833,15 @@ class TestPlan:
                 compose_tree(tree, sentence_lexicon, DEFAULT)
             assert tree._plan is None
 
+    @pytest.mark.parametrize("text", plan_texts()[1:], ids=["balanced", "random", "caterpillar"])
+    def test_the_results_hold_the_unique_leaves_and_the_bottom_level(self, text):
+        """Every node above the bottom level writes into an internal
+        child's row, so only the bottom level takes new rows."""
+        tree = parse_bracketed(text)
+        leaves, rows, _, _ = composition._plan(tree)
+        assert set(leaves) == set(tree.fringe())
+        assert rows == len(leaves) + len(wide_levels(tree)[0][0])
+
     @pytest.mark.parametrize("text", plan_texts()[1:])
     def test_a_child_view_composes_to_its_own_root(self, text):
         tree = parse_bracketed(text)
@@ -919,6 +928,51 @@ class TestDeepChain:
             for token in reversed(chain):
                 want = compose_pair(lexicon[token], want, cfg)
             assert_same_root(root, want)
+
+    def test_a_balanced_tree_beside_a_chain_at_n_32_gives_the_fold_root(self):
+        """At n = 32, a tree of 256 units beside a chain 300 deep. Each unit
+        is a pair with one more leaf on its left or its right, so the second
+        level's nodes each have one leaf child and write into the other
+        child's row, as the chain's nodes in the top do."""
+        layout = SegmentLayout(16, 8, 8)
+        lexicon = set_function_word(
+            init_random(PLAN_WORDS, layout, seed=9, noise=0.1), "not", "negation", mu=0.5
+        )
+        rng = np.random.default_rng(9)
+        words = [PLAN_WORDS[k] for k in rng.integers(0, 30, 3 * 256 + 300)]
+        words[100] = words[900] = "not"
+        units = [
+            f"(U (W {a}) (S (W {b}) (W {c})))" if k % 2 else f"(U (S (W {a}) (W {b})) (W {c}))"
+            for k, (a, b, c) in enumerate(zip(*[iter(words[:768])] * 3))
+        ]
+        chain = words[768:]
+        text = f"(R {balanced_text(units)} {''.join(f'(X (W {t}) ' for t in chain)}(W w00)"
+        tree = parse_bracketed(text + ")" * (len(chain) + 1))
+        # the chain's two lowest nodes join the units in the first two levels
+        assert [len(nodes) for nodes, *_ in wide_levels(tree)][:2] == [257, 257]
+        for cfg in (DEFAULT, IMPROVED):
+            got = compose_tree(tree, lexicon, cfg)
+            assert np.isfinite(got.v.values).all() and np.isfinite(got.M.entries).all()
+            assert_same_root(got, fold(tree, lexicon, cfg))
+
+    def test_a_fresh_balanced_4096_leaf_compose_keeps_to_the_bottom_level(self):
+        """A first compose, plan included, of a balanced 4096-leaf tree at
+        n = 8: the results array holds the unique leaves and the bottom
+        level's 2048 nodes, about 1.2 MB, and the peak is about 1.6 MiB. A
+        new row for every wide-level node, 4080 of them, would peak at 2.6
+        to 2.7 MiB."""
+        lexicon = plan_lexicons()[0]
+        rng = np.random.default_rng(4)
+        text = balanced_text([f"(W {PLAN_WORDS[k]})" for k in rng.integers(0, 30, 4096)])
+        for cfg in (DEFAULT, IMPROVED):
+            tree = parse_bracketed(text)
+            tracemalloc.start()
+            try:
+                compose_tree(tree, lexicon, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
 
     def test_hundred_thousand_levels_compose_like_an_explicit_loop(self):
         """A right-branching chain 10^5 deep over words whose M = 0.5 I:

@@ -24,7 +24,10 @@ With --reports it writes instead, under tests/fixtures/reports/, the
 golden copy of every CLI report that tests/test_reports.py compares
 (its COMMANDS, run from the repository root; this needs pytest). Floats
 in them may move in the last digits on another CPU, which that test
-allows, so the default run leaves them alone.
+allows, so the default run leaves them alone, and --reports keeps every
+golden that the test's assert_reports_match accepts as it is: it
+rewrites only a missing report or one that changed beyond the test's
+tolerance, so that a rerun followed by git diff shows real changes only.
 
 The contradiction-bound fixture has its own generator,
 tools/contradiction_bound_oracle.py, and is not touched here.
@@ -91,19 +94,28 @@ def chain(tokens) -> str:
 
 
 def write_reports():
-    """Each report golden, as the CLI prints it from the repository root."""
+    """Each report golden, as the CLI prints it from the repository root,
+    unless the committed one already matches it."""
+    if not __debug__:
+        raise SystemExit("--reports compares with assert statements: run it without -O")
     sys.path.insert(0, str(ROOT / "tests"))
-    from test_reports import COMMANDS, REPORTS
+    from test_reports import COMMANDS, REPORTS, assert_reports_match
 
     os.chdir(ROOT)
+    written = 0
     for name, argv in COMMANDS.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             status = run(argv)
         if status != 0:
             raise SystemExit(f"{name}: tripsem exited with status {status}")
-        (REPORTS / f"{name}.txt").write_text(out.getvalue(), encoding="utf-8")
-    print(f"{len(COMMANDS)} reports written under {REPORTS}")
+        golden = REPORTS / f"{name}.txt"
+        try:
+            assert_reports_match(out.getvalue(), golden.read_text(encoding="utf-8"))
+        except (FileNotFoundError, AssertionError):
+            golden.write_text(out.getvalue(), encoding="utf-8")
+            written += 1
+    print(f"{written} of {len(COMMANDS)} reports written under {REPORTS}, the rest kept")
 
 
 def main():
