@@ -102,7 +102,7 @@ def _cmd_lexicon_init(args) -> tuple[list, bool]:
     tokens = _read_words(args.words)
     layout = _parse_layout(args.layout)
     lex = init_random(tokens, layout, args.seed, args.noise, mu_default=args.not_mu)
-    lex = set_function_word(lex, "not", "negation", mu=args.not_mu)
+    lex = set_function_word(lex, "not")
     save(lex, args.out)
     return [
         ("words", len(lex)),
@@ -224,6 +224,8 @@ def _verify_improved_fit(lex: Lexicon, args) -> tuple[list, bool]:
 
 
 def _verify_double_negation(lex: Lexicon, args) -> tuple[list, bool]:
+    if not len(lex):  # no word would make every check vacuously true
+        raise ValueError("lexicon has no words")
     layout = lex.layout
     op = NegationOperator(lex.mu_default, layout)
     expect_diminutive = lex.mu_default * lex.mu_default < 1.0

@@ -48,7 +48,7 @@ class SegmentLayout:
     def __post_init__(self):
         for name in ("d_domain", "d_stable", "d_inverted"):
             count = getattr(self, name)
-            if not isinstance(count, int) or count < 0:
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {count!r}")
         if self.n < 1:
             raise ValueError("layout must have at least one dimension")
@@ -117,10 +117,6 @@ class FunctionMatrix:
         n = self.layout.n
         arr = _frozen_array(self.entries, (n, n), "function matrix")
         object.__setattr__(self, "entries", arr)
-
-    @classmethod
-    def identity(cls, layout: SegmentLayout) -> "FunctionMatrix":
-        return cls(np.eye(layout.n), layout)
 
     @classmethod
     def zeros(cls, layout: SegmentLayout) -> "FunctionMatrix":

@@ -1,4 +1,4 @@
-"""Lexicon creation, function-word presets, and serialization.
+"""Lexicon creation, the negation word, and serialization.
 
 File format (UTF-8, line-oriented; ``#`` starts a comment line)::
 
@@ -51,7 +51,6 @@ from .treeio import _check_word
 __all__ = ["Lexicon", "init_random", "set_function_word", "dumps", "loads", "save", "load"]
 
 MAGIC = "TRIPSEM 1"
-PRESETS = ("negation", "identity")
 
 
 @dataclass(frozen=True)
@@ -134,33 +133,17 @@ def init_random(
     return Lexicon(layout, entries, mu_default)
 
 
-def set_function_word(
-    lex: Lexicon, token: str, preset: str, mu: float | None = None
-) -> Lexicon:
-    """Install a function-word preset, returning a new lexicon.
-
-    ``negation``: zero vector, the scaled partial inversion as function
-    matrix, and alpha = 0 so the function does not propagate past its own
-    composition step. ``identity``: zero vector, identity matrix, alpha = 1.
-    """
-    if preset not in PRESETS:
-        raise ValueError(f"preset must be one of {PRESETS}, got {preset!r}")
+def set_function_word(lex: Lexicon, token: str) -> Lexicon:
+    """A new lexicon with ``token`` as its negation word: a zero vector, J_mu
+    at the lexicon's ``mu_default`` as its matrix, and alpha = 0, so its
+    function does not propagate past its own composition step."""
     _check_word(token, "token")
     layout = lex.layout
-    if preset == "negation":
-        if layout.d_inverted < 1:
-            raise DegenerateNegationError(
-                "negation preset needs d_inverted >= 1, layout has none"
-            )
-        op = NegationOperator(lex.mu_default if mu is None else mu, layout)
-        entry = LexicalEntry(
-            token, SemanticVector.zeros(layout), make_negation_matrix(op), 0.0
-        )
-    else:
-        entry = LexicalEntry(
-            token, SemanticVector.zeros(layout), FunctionMatrix.identity(layout), 1.0
-        )
-    return lex.with_entry(entry)
+    if layout.d_inverted < 1:
+        raise DegenerateNegationError(
+            "negation needs at least one inverted dimension (d_inverted >= 1)")
+    matrix = make_negation_matrix(NegationOperator(lex.mu_default, layout))
+    return lex.with_entry(LexicalEntry(token, SemanticVector.zeros(layout), matrix, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def test_c8_io_round_trips(capsys, tmp_path):
         lex = init_random(
             [f"w{i}" for i in range(8)], layout, seed=seed, noise=0.3, mu_default=mu
         )
-        lex = set_function_word(lex, "not", "negation")
+        lex = set_function_word(lex, "not")
         path = tmp_path / f"roundtrip{seed}.lex"
         save(lex, path)
         back = load(path)

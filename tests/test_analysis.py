@@ -74,7 +74,7 @@ class TestSampleSet:
         zero_m = LexicalEntry("z", good.v, FunctionMatrix.zeros(LAY211), 1.0)
         with pytest.raises(ValueError):
             SampleSet((zero_m,))
-        identity_m = LexicalEntry("z", good.v, FunctionMatrix.identity(LAY211), 1.0)
+        identity_m = LexicalEntry("z", good.v, FunctionMatrix(np.eye(4), LAY211), 1.0)
         with pytest.raises(ValueError):
             SampleSet((identity_m,))
         with pytest.raises(ValueError):
@@ -94,8 +94,9 @@ class TestSampleSet:
 
     def test_from_lexicon_skips_function_words(self):
         lex = init_random(["blue", "red", "car"], LAY211, seed=2, noise=0.2)
-        lex = set_function_word(lex, "not", "negation", mu=0.5)
-        lex = set_function_word(lex, "and", "identity")
+        lex = set_function_word(lex, "not")
+        lex = lex.with_entry(LexicalEntry(
+            "and", SemanticVector.zeros(LAY211), FunctionMatrix(np.eye(4), LAY211), 1.0))
         samples = SampleSet.from_lexicon(lex)
         tokens = {e.token for e in samples.entries}
         assert tokens == {"blue", "red", "car"}
@@ -112,10 +113,11 @@ class TestSampleSet:
             replace(lex["p"], token="zero_v", v=zero_v),
             replace(lex["p"], token="zero_m", M=zero_m),
             replace(lex["p"], token="zero_both", v=zero_v, M=zero_m),
-            replace(lex["q"], token="identity", M=FunctionMatrix.identity(LAY211)),
+            replace(lex["q"], token="identity", M=FunctionMatrix(np.eye(4), LAY211)),
         ):
             lex = lex.with_entry(entry)
-        lex = set_function_word(set_function_word(lex, "not", "negation"), "and", "identity")
+        lex = set_function_word(lex, "not").with_entry(LexicalEntry(
+            "and", SemanticVector.zeros(LAY211), FunctionMatrix(np.eye(4), LAY211), 1.0))
         entries = list(lex)
         assert [e.token for e in SampleSet.from_lexicon(lex).entries] == [
             e.token for e in entries if not per_entry_fault(e)
@@ -686,7 +688,7 @@ class TestScopeInvariance:
     @pytest.fixture
     def lexicon(self):
         lex = init_random(["this", "car", "is", "blue"], LAY211, seed=23, noise=0.15)
-        return set_function_word(lex, "not", "negation", mu=0.5)
+        return set_function_word(lex, "not")
 
     @pytest.fixture
     def perturbation(self):
@@ -766,7 +768,7 @@ class TestSimilarities:
         return LexicalEntry(
             "w",
             SemanticVector(values, layout),
-            FunctionMatrix.identity(layout),
+            FunctionMatrix(np.eye(layout.n), layout),
             1.0,
         )
 

@@ -15,7 +15,9 @@ import pytest
 
 from tripsem.analysis import SampleSet
 from tripsem.cli import build_parser, run
-from tripsem.core import FunctionMatrix, SegmentLayout, SemanticVector
+from tripsem.core import (
+    FunctionMatrix, NegationOperator, SegmentLayout, SemanticVector, make_negation_matrix,
+)
 from tripsem.lexicon import Lexicon, init_random, load, save
 
 DEMO_ARGS = lambda path: ["--lexicon", str(path)]  # noqa: E731
@@ -64,6 +66,14 @@ class TestLexiconInit:
             "words", "layout", "seed", "noise", "not_mu", "out",
         ]
         assert "lexicon-init noise: 0.05" in report
+
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 1.0])
+    def test_not_mu_sets_the_not_matrix(self, tmp_path, fixtures_dir, mu):
+        out = tmp_path / "x.lex"
+        words = str(fixtures_dir / "words.txt")
+        assert run(["lexicon-init", "--words", words, "--out", str(out), "--not-mu", str(mu)]) == 0
+        lex = load(out)
+        assert lex["not"].M == make_negation_matrix(NegationOperator(mu, lex.layout))
 
     def test_missing_words_file(self, tmp_path, capsys):
         code = run(
@@ -492,6 +502,14 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("tripsem: ")
         assert captured.err.count("\n") == 1
+
+    def test_double_negation_on_a_lexicon_without_words_exits_two(self, tmp_path, capsys):
+        lex = tmp_path / "empty.lex"
+        lex.write_text("TRIPSEM 1\nlayout 1 0 1\n", encoding="utf-8")
+        assert run(["verify", "double-negation", "--lexicon", str(lex)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tripsem: lexicon has no words\n"
 
     @pytest.mark.parametrize("check, fit", [("contradiction", "both"), ("improved-fit", "value")])
     def test_overflowing_fit_exits_two_naming_the_fit(self, tmp_path, capsys, check, fit):

@@ -233,7 +233,7 @@ def test_the_step_gives_the_bits_of_the_matmul_formula(n):
 @pytest.fixture
 def sentence_lexicon():
     lex = init_random(["this", "car", "is", "blue"], LAY211, seed=13, noise=0.2)
-    return set_function_word(lex, "not", "negation", mu=0.5)
+    return set_function_word(lex, "not")
 
 
 class TestComposeTree:
@@ -557,7 +557,7 @@ class TestComposeTreeIsTheFold:
     def test_init_random_lexicons_give_the_fold_root_bit_for_bit(self, layout, shape):
         words = [f"w{k:02d}" for k in range(40)]
         lexicon = set_function_word(
-            init_random(words, layout, seed=5, noise=0.1), "not", "negation", mu=0.5
+            init_random(words, layout, seed=5, noise=0.1), "not"
         )
         rng = np.random.default_rng(11)
         tree = wide_tree(shape, 300, rng, words)
@@ -762,7 +762,7 @@ def plan_lexicons(seeds=(5, 6)) -> list:
     return [
         set_function_word(
             init_random(PLAN_WORDS, SegmentLayout(4, 2, 2), seed=seed, noise=0.1),
-            "not", "negation", mu=0.5,
+            "not",
         )
         for seed in seeds
     ]
@@ -936,7 +936,7 @@ class TestDeepChain:
         child's row, as the chain's nodes in the top do."""
         layout = SegmentLayout(16, 8, 8)
         lexicon = set_function_word(
-            init_random(PLAN_WORDS, layout, seed=9, noise=0.1), "not", "negation", mu=0.5
+            init_random(PLAN_WORDS, layout, seed=9, noise=0.1), "not"
         )
         rng = np.random.default_rng(9)
         words = [PLAN_WORDS[k] for k in rng.integers(0, 30, 3 * 256 + 300)]

@@ -46,6 +46,12 @@ class TestSegmentLayout:
             SegmentLayout(0, 0, 0)
         with pytest.raises(ValueError):
             SegmentLayout(1.5, 1, 1)
+        # a bool is an int to isinstance, but no count
+        for counts, name in [
+            ((True, 0, 1), "d_domain"), ((True, False, True), "d_domain"), ((1, 0, True), "d_inverted"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got True$"):
+                SegmentLayout(*counts)
 
 
 class TestSemanticVector:
@@ -81,7 +87,7 @@ class TestFunctionMatrix:
             FunctionMatrix(np.zeros((4, 3)), LAY211)
 
     def test_identity_and_zeros(self):
-        assert np.array_equal(FunctionMatrix.identity(LAY211).entries, np.eye(4))
+        assert np.array_equal(FunctionMatrix(np.eye(4), LAY211).entries, np.eye(4))
         assert not FunctionMatrix.zeros(LAY211).entries.any()
 
     def test_frobenius_norm(self):
@@ -98,7 +104,7 @@ class TestFunctionMatrix:
 
 
 @pytest.mark.parametrize(
-    "value", [vec([1.0, 2.0, 3.0, 4.0]), FunctionMatrix.identity(LAY211)], ids=["vector", "matrix"]
+    "value", [vec([1.0, 2.0, 3.0, 4.0]), FunctionMatrix(np.eye(4), LAY211)], ids=["vector", "matrix"]
 )
 def test_a_value_type_is_unequal_to_another_type(value):
     assert value.__eq__(1.0) is NotImplemented
@@ -120,11 +126,11 @@ class TestLexicalEntry:
         other = SegmentLayout(1, 2, 1)
         with pytest.raises(DimensionError):
             LexicalEntry(
-                "w", vec([1.0, 0.0, 0.0, 0.0]), FunctionMatrix.identity(other), 1.0
+                "w", vec([1.0, 0.0, 0.0, 0.0]), FunctionMatrix(np.eye(4), other), 1.0
             )
 
     def test_alpha_must_be_nonnegative_finite(self):
-        v, m = vec([1.0, 0.0, 0.0, 0.0]), FunctionMatrix.identity(LAY211)
+        v, m = vec([1.0, 0.0, 0.0, 0.0]), FunctionMatrix(np.eye(4), LAY211)
         with pytest.raises(ValueError):
             LexicalEntry("w", v, m, -0.1)
         with pytest.raises(ValueError):
@@ -132,7 +138,7 @@ class TestLexicalEntry:
         assert LexicalEntry("w", v, m, 0.0).alpha == 0.0
 
     def test_token_must_be_nonempty(self):
-        v, m = vec([1.0, 0.0, 0.0, 0.0]), FunctionMatrix.identity(LAY211)
+        v, m = vec([1.0, 0.0, 0.0, 0.0]), FunctionMatrix(np.eye(4), LAY211)
         with pytest.raises(ValueError):
             LexicalEntry("", v, m, 1.0)
 

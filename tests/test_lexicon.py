@@ -70,7 +70,7 @@ class TestLexiconType:
         entry = LexicalEntry(
             "red",
             SemanticVector([1.0, 0.0, 0.0, 0.0], LAY211),
-            FunctionMatrix.identity(LAY211),
+            FunctionMatrix(np.eye(4), LAY211),
             1.0,
         )
         bigger = lex.with_entry(entry)
@@ -85,13 +85,13 @@ class TestLexiconType:
         good = LexicalEntry(
             "a",
             SemanticVector([1.0, 0.0, 0.0, 0.0], LAY211),
-            FunctionMatrix.identity(LAY211),
+            FunctionMatrix(np.eye(4), LAY211),
             1.0,
         )
         bad = LexicalEntry(
             "b",
             SemanticVector([1.0, 0.0, 0.0, 0.0], other),
-            FunctionMatrix.identity(other),
+            FunctionMatrix(np.eye(4), other),
             1.0,
         )
         with pytest.raises(ValueError):
@@ -167,40 +167,27 @@ class TestInitRandom:
 class TestFunctionWordPresets:
     def test_negation_preset_values(self):
         lex = init_random(["blue"], LAY211, seed=0, noise=0.1)
-        lex = set_function_word(lex, "not", "negation", mu=0.5)
+        lex = set_function_word(lex, "not")
         entry = lex["not"]
         assert not entry.v.values.any()
         assert np.array_equal(entry.M.entries, np.diag([1.0, 1.0, 1.0, -0.5]))
         assert entry.alpha == 0.0
 
-    def test_identity_preset_values(self):
-        lex = init_random(["blue"], LAY211, seed=0, noise=0.1)
-        lex = set_function_word(lex, "and", "identity")
-        entry = lex["and"]
-        assert not entry.v.values.any()
-        assert np.array_equal(entry.M.entries, np.eye(4))
-        assert entry.alpha == 1.0
-
     def test_negation_uses_lexicon_mu_default(self):
         lex = init_random(["blue"], LAY211, seed=0, noise=0.1, mu_default=0.25)
-        lex = set_function_word(lex, "not", "negation")
+        lex = set_function_word(lex, "not")
         assert lex["not"].M.entries[3, 3] == -0.25
 
     def test_negation_needs_inverted_dimensions(self):
         lay = SegmentLayout(2, 2, 0)
         lex = init_random(["blue"], lay, seed=0, noise=0.1)
         with pytest.raises(DegenerateNegationError):
-            set_function_word(lex, "not", "negation")
-
-    def test_unknown_preset(self):
-        lex = init_random(["blue"], LAY211, seed=0, noise=0.1)
-        with pytest.raises(ValueError):
-            set_function_word(lex, "not", "inversion")
+            set_function_word(lex, "not")
 
     def test_negation_preset_composes_to_scaled_inversion(self):
         """Composing the preset with any word applies J_mu to its vector."""
         lex = init_random(["blue"], LAY211, seed=3, noise=0.1)
-        lex = set_function_word(lex, "not", "negation", mu=0.5)
+        lex = set_function_word(lex, "not")
         j_mu = make_negation_matrix(NegationOperator(0.5, LAY211)).entries
         product = compose_pair(lex["not"], lex["blue"], CompositionConfig())
         np.testing.assert_array_equal(product.v.values, j_mu @ lex["blue"].v.values)
@@ -209,7 +196,7 @@ class TestFunctionWordPresets:
 class TestSerialization:
     def test_dumps_loads_round_trip_is_exact(self):
         lex = init_random(["blue", "red", "car"], LAY211, seed=11, noise=0.3)
-        lex = set_function_word(lex, "not", "negation", mu=0.5)
+        lex = set_function_word(lex, "not")
         back = loads(dumps(lex))
         assert back == lex
         for token in lex.entries:

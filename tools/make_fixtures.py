@@ -4,7 +4,7 @@ Writes, under tests/fixtures/:
 
 * words.txt       word list fed to lexicon-init
 * demo.lex        seeded demonstration lexicon (seed 7, layout 4,2,2,
-                  noise 0.1, "not" preset at mu 0.5) plus a "not_blue"
+                  noise 0.1, "not" at J_0.5) plus a "not_blue"
                   entry whose vector is negate(blue), used by the
                   similarity examples
 * figure3.tree    the example sentence tree, unbinarized
