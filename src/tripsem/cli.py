@@ -86,6 +86,13 @@ def _read_words(path: str) -> list[str]:
     return tokens
 
 
+def _operator(flag: str, mu: float, layout: SegmentLayout) -> NegationOperator:
+    try:  # NegationOperator tests the range of mu; its fault names the flag that set mu
+        return NegationOperator(mu, layout)
+    except ValueError as exc:
+        raise ValueError(f"{flag}{str(exc).removeprefix('mu')}") from None
+
+
 def _read_one_tree(path: str):
     # read without newline translation, so error offsets count the file's characters
     trees = parse_forest(Path(path).read_bytes().decode("utf-8-sig"))
@@ -101,7 +108,8 @@ def _read_one_tree(path: str):
 def _cmd_lexicon_init(args) -> tuple[list, bool]:
     tokens = _read_words(args.words)
     layout = _parse_layout(args.layout)
-    lex = init_random(tokens, layout, args.seed, args.noise, mu_default=args.not_mu)
+    mu = _operator("--not-mu", args.not_mu, layout).mu
+    lex = init_random(tokens, layout, args.seed, args.noise, mu_default=mu)
     lex = set_function_word(lex, "not")
     save(lex, args.out)
     return [
@@ -109,7 +117,7 @@ def _cmd_lexicon_init(args) -> tuple[list, bool]:
         ("layout", args.layout),
         ("seed", args.seed),
         ("noise", float(args.noise)),
-        ("not_mu", float(args.not_mu)),
+        ("not_mu", mu),
         ("out", args.out),
     ], True
 
@@ -117,10 +125,9 @@ def _cmd_lexicon_init(args) -> tuple[list, bool]:
 def _cmd_negate(args) -> tuple[list, bool]:
     lex = load(args.lexicon)
     entry = lex[args.word]
-    mu = lex.mu_default if args.mu is None else args.mu
-    op = NegationOperator(mu, lex.layout)
+    op = _operator("--mu", lex.mu_default if args.mu is None else args.mu, lex.layout)
     negated = negate_vector(entry.v, op)
-    rows = [("word", args.word), ("mu", float(mu))]
+    rows = [("word", args.word), ("mu", op.mu)]
     return rows + _segments("original", entry.v) + _segments("negated", negated), True
 
 

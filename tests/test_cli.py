@@ -129,6 +129,17 @@ class TestLexiconInit:
         assert captured.err == "tripsem: seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mu, shown", [("2", "2.0"), ("0", "0.0"), ("nan", "nan")])
+    def test_a_not_mu_out_of_range_names_the_flag(self, tmp_path, fixtures_dir, capsys, mu, shown):
+        out = tmp_path / "x.lex"
+        words = str(fixtures_dir / "words.txt")
+        code = run(["lexicon-init", "--words", words, "--out", str(out), "--not-mu", mu])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tripsem: --not-mu must lie in (0, 1], got {shown}\n"
+        assert not out.exists()
+
     def test_overflowing_noise_is_one_line_without_numpy_warnings(self, tmp_path, fixtures_dir):
         # a subprocess, so that numpy's warnings reach stderr unfiltered
         result = subprocess.run(
@@ -165,6 +176,14 @@ class TestNegate:
     def test_mu_flag_overrides_lexicon_default(self, demo_lexicon_path, capsys):
         run(["negate", *DEMO_ARGS(demo_lexicon_path), "--word", "blue", "--mu", "1.0"])
         assert "negate mu: 1.0" in lines_of(capsys)
+
+    @pytest.mark.parametrize("mu, shown", [("2", "2.0"), ("0", "0.0"), ("nan", "nan")])
+    def test_a_mu_out_of_range_names_the_flag(self, demo_lexicon_path, capsys, mu, shown):
+        code = run(["negate", *DEMO_ARGS(demo_lexicon_path), "--word", "blue", "--mu", mu])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tripsem: --mu must lie in (0, 1], got {shown}\n"
 
     def test_unknown_word(self, demo_lexicon_path, capsys):
         code = run(["negate", *DEMO_ARGS(demo_lexicon_path), "--word", "zzz"])

@@ -54,7 +54,7 @@ def balanced_text(subtrees) -> str:
 def wide_levels(tree) -> list:
     """The levels ``compose_tree`` runs as stacked steps."""
     lo, starts, arity = treeio._shape(tree)
-    return composition._wide_levels(starts, lo, arity)[0]
+    return composition._wide_levels(starts, lo, arity)
 
 
 @pytest.fixture
@@ -185,9 +185,9 @@ def test_compose_pair_and_compose_tree_run_one_step(monkeypatch, not_and_blue):
     step = composition._step
 
     def counted(*args, **kwargs):
-        # a labelled step's label; an unlabelled one's count of nodes
+        # a labelled step's label; a stacked one's count of nodes
         where, ma = args[7], args[1]
-        calls.append(where() if where else len(ma) if ma.ndim == 3 else 1)
+        calls.append(where() if where else len(ma))
         return step(*args, **kwargs)
 
     monkeypatch.setattr(composition, "_step", counted)
@@ -200,10 +200,12 @@ def test_compose_pair_and_compose_tree_run_one_step(monkeypatch, not_and_blue):
         "node 'A' over leaves 1-2",
         "node 'S' over leaves 1-3",
     ]
-    # the two wide levels of a balanced 64-leaf tree, then its narrow top node by node
+    # the two wide levels of a balanced 64-leaf tree, then its narrow top through the fold
     calls.clear()
     compose_tree(parse_bracketed(balanced_text(["(W blue)"] * 64)), lex, IMPROVED)
-    assert calls == [32, 16] + [1] * (8 + 4 + 2 + 1)
+    top = ["1-8", "9-16", "1-16", "17-24", "25-32", "17-32", "1-32",
+           "33-40", "41-48", "33-48", "49-56", "57-64", "49-64", "33-64", "1-64"]
+    assert calls == [32, 16] + [f"node 'S' over leaves {span}" for span in top]
 
 
 def test_compose_pair_dispatches_on_model(not_and_blue):
@@ -596,6 +598,8 @@ def wide_text(cherries: dict, count: int = 32) -> str:
 WIDE_ZERO = wide_text({2: "(B (W nil) (W nil))"})
 WIDE_OVERFLOW = wide_text({5: "(A (W big) (W big))"})
 WIDE_GHOST = wide_text({7: "(S (W one) (W ghost))"})
+
+
 def spine_text(cherries: dict, count: int) -> str:
     """``count`` pairs of ``one`` leaves, pair k replaced by ``cherries[k]``,
     on a right-branching spine of C nodes: every pair has height 1 and
@@ -613,6 +617,15 @@ TOP_FIRST = (
     + spine_text({3: "(B (W huge) (W huge))", 9: "(B (W nil) (W nil))"}, 31)
     + ")"
 )
+# The same shape. T in the top meets Z = 0 between a nil leaf and the row
+# of the level's nil pair B, whose own Z = 0 comes first in post-order.
+TOP_ZERO = "(R (T (W nil) (B (W nil) (W nil))) " + spine_text({}, 31) + ")"
+# A ghost leaf of T in the top, after the level's overflowing pair A in
+# post-order, then before it.
+GHOST_T = "(T (W ghost) (U (W one) (W one)))"
+OVERFLOW_SPINE = spine_text({3: "(A (W big) (W big))"}, 31)
+TOP_GHOST_LAST = f"(R {OVERFLOW_SPINE} {GHOST_T})"
+TOP_GHOST_FIRST = f"(R {GHOST_T} {OVERFLOW_SPINE})"
 
 
 class TestRootOnlyFiniteTest:
@@ -665,6 +678,12 @@ class TestRootOnlyFiniteTest:
             (WIDE_GHOST, MODELS, UnknownTokenError, GHOST, None, None),
             (TOP_FIRST, MODELS, ValueError, VECTOR, "'big' and 'big one'",
              "node 'T' over leaves 1-3"),
+            # faults in the narrow top, whose fold reads level rows and leaves
+            (TOP_ZERO, ["improved"], DegenerateWeightsError, ZERO, "'nil' and 'nil'",
+             "node 'B' over leaves 2-3"),
+            (TOP_GHOST_LAST, MODELS, ValueError, VECTOR, "'big' and 'big'",
+             "node 'A' over leaves 7-8"),
+            (TOP_GHOST_FIRST, MODELS, UnknownTokenError, GHOST, None, None),
         ],
     )
     def test_same_error_at_the_same_step_as_the_fold(
@@ -686,6 +705,9 @@ class TestRootOnlyFiniteTest:
             (WIDE_OVERFLOW, {"A"}, set()),
             (WIDE_GHOST, {"S"}, set()),
             (TOP_FIRST, {"B", "U"}, {"T", "R"}),
+            (TOP_ZERO, {"B"}, {"T", "R"}),
+            (TOP_GHOST_LAST, {"A", "U"}, {"T", "R"}),
+            (TOP_GHOST_FIRST, {"A", "U"}, {"T", "R"}),
         ],
     )
     def test_the_wide_faults_are_where_they_are_meant_to_be(self, text, inside, outside):
@@ -838,7 +860,7 @@ class TestPlan:
         """Every node above the bottom level writes into an internal
         child's row, so only the bottom level takes new rows."""
         tree = parse_bracketed(text)
-        leaves, rows, _, _ = composition._plan(tree)
+        leaves, rows, *_ = composition._plan(tree)
         assert set(leaves) == set(tree.fringe())
         assert rows == len(leaves) + len(wide_levels(tree)[0][0])
 
@@ -879,6 +901,16 @@ class TestBuiltEntries:
         # so a root never holds the wide levels' results buffer alive
         assert built.v.values.flags.owndata and built.M.entries.flags.owndata
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_wide_root_owns_its_arrays_under_both_models(self, model):
+        """The fold's last step makes the root's arrays, so no root holds
+        the results array alive: for a balanced 4096-leaf tree of 64 words,
+        1.2 MB at n = 8 and 18 MB at n = 32."""
+        tree = parse_bracketed(balanced_text([f"(W w{k % 30:02d})" for k in range(64)]))
+        assert wide_levels(tree)
+        root = compose_tree(tree, plan_lexicons()[0], CompositionConfig(model=model))
+        assert root.v.values.flags.owndata and root.M.entries.flags.owndata
+
     def test_equal_to_the_checked_entry(self, built):
         layout = built.layout
         checked = LexicalEntry(
@@ -905,10 +937,10 @@ class TestBuiltEntries:
 class TestDeepChain:
     def test_a_deep_top_over_wide_levels_keeps_its_memory_and_bits(self):
         """A chain 3000 deep over a balanced 256-leaf subtree at n = 8: the
-        subtree's levels run stacked and the 3000 top nodes one at a time.
-        Each top node writes into its internal child's row, so the results
-        array does not grow with the top (a fresh row per top node would add
-        about 1.8 MB), and the root is the ``compose_pair`` fold's."""
+        subtree's levels run stacked and the 3000 top nodes in the fold,
+        which takes no row for them, so the results array does not grow with
+        the top (a fresh row per top node would add about 1.8 MB), and the
+        root is the ``compose_pair`` fold's."""
         lexicon = plan_lexicons()[0]
         rng = np.random.default_rng(8)
         bottom = balanced_text([f"(W {PLAN_WORDS[k]})" for k in rng.integers(0, 30, 256)])
