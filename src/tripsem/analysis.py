@@ -67,18 +67,9 @@ __all__ = [
     "domain_similarity",
     "value_similarity",
     "default_demo_samples",
-    "DEMO_LAYOUT",
-    "DEMO_SEED",
-    "DEMO_NOISE",
-    "DEMO_COUNT",
 ]
 
 CONSTRAINT_FAMILIES = ("both", "value", "function")
-
-DEMO_LAYOUT = SegmentLayout(4, 2, 2)
-DEMO_SEED = 0
-DEMO_NOISE = 0.1
-DEMO_COUNT = 50
 
 # A singular value at or below RANK_TOL times its system's scale counts as
 # zero: W's own largest singular value for W, |M_a| for the v_not system.
@@ -180,10 +171,10 @@ class SampleSet:
 
 
 def default_demo_samples(
-    count: int = DEMO_COUNT,
-    layout: SegmentLayout = DEMO_LAYOUT,
-    seed: int = DEMO_SEED,
-    noise: float = DEMO_NOISE,
+    count: int = 50,
+    layout: SegmentLayout = SegmentLayout(4, 2, 2),
+    seed: int = 0,
+    noise: float = 0.1,
 ) -> SampleSet:
     """Seeded demonstration samples: the entries of ``init_random`` over the
     tokens w00, w01, ...: v uniform in [-1, 1], M = I + noise * G.

@@ -135,6 +135,15 @@ class FunctionMatrix:
     __hash__ = None
 
 
+def _scale(value, name: str) -> float:
+    """``value`` as a float if it lies in (0, 1], the range of every negation
+    scale (nan does not); else a ValueError that calls it ``name``."""
+    mu = float(value)
+    if not 0.0 < mu <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+    return mu
+
+
 @dataclass(frozen=True)
 class NegationOperator:
     """Scaled partial inversion, parametrized by ``mu`` in (0, 1].
@@ -147,10 +156,7 @@ class NegationOperator:
     layout: SegmentLayout
 
     def __post_init__(self):
-        mu = float(self.mu)
-        if not math.isfinite(mu) or not (0.0 < mu <= 1.0):
-            raise ValueError(f"mu must lie in (0, 1], got {self.mu!r}")
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _scale(self.mu, "mu"))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ Real values are written with Python's shortest round-trip decimal
 representation (up to 17 significant digits), so ``load(save(lex))``
 reproduces every value bit-for-bit. ``save`` additionally records the
 lexicon's default negation scale as a ``# mu_default <value>`` pragma
-comment; ``load`` honours it when present and otherwise defaults to 0.5,
-so hand-written files need not carry it. Lines break only at LF, CRLF
-and CR; any other line break is whitespace inside a row. ``loads`` reads
+comment; ``load`` honours it when present and otherwise takes the field's
+default, so hand-written files need not carry it. Lines break only at LF,
+CRLF and CR; any other line break is whitespace inside a row. ``loads`` reads
 the lines in one pass, in file order, checking and converting each row as
 it meets it, so a malformed lexicon's first fault, a bad ``# mu_default``
 pragma included, is raised at its line. ``load`` skips a leading UTF-8
@@ -43,6 +43,7 @@ from .core import (
     SegmentLayout,
     SemanticVector,
     _entry,
+    _scale,
     make_negation_matrix,
 )
 from .errors import DegenerateNegationError, LexiconFormatError, UnknownTokenError
@@ -55,17 +56,15 @@ MAGIC = "TRIPSEM 1"
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Immutable token -> LexicalEntry mapping with a shared layout."""
+    """Immutable token -> LexicalEntry mapping with a shared layout and
+    ``mu_default``, the negation scale in (0, 1] that every default reads."""
 
     layout: SegmentLayout
     entries: dict[str, LexicalEntry] = field(default_factory=dict)
     mu_default: float = 0.5
 
     def __post_init__(self):
-        mu = float(self.mu_default)
-        if not math.isfinite(mu) or not (0.0 < mu <= 1.0):
-            raise ValueError(f"mu_default must lie in (0, 1], got {self.mu_default!r}")
-        object.__setattr__(self, "mu_default", mu)
+        object.__setattr__(self, "mu_default", _scale(self.mu_default, "mu_default"))
         for token, entry in self.entries.items():
             _check_word(token, "token")
             if entry.token != token:
@@ -104,7 +103,7 @@ def init_random(
     layout: SegmentLayout,
     seed: int,
     noise: float,
-    mu_default: float = 0.5,
+    mu_default: float = Lexicon.mu_default,
 ) -> Lexicon:
     """Deterministic seeded lexicon: v uniform in [-1, 1], M = I + noise * G
     with G standard normal, alpha = 1 for every token."""
@@ -186,7 +185,7 @@ def _numbers(texts: list[str], lineno: int, token: str | None = None, r: int = 0
 
 
 def loads(text: str) -> Lexicon:
-    mu_default, layout, token = 0.5, None, None
+    mu_default, layout, token = Lexicon.mu_default, None, None
     entries: dict[str, LexicalEntry] = {}
     row = -2  # the row expected next: -2 header, -1 layout, then per word 0 word, 1 v, 2.. m
     # lines end at LF, CRLF and CR only; a final line break starts no line
@@ -196,10 +195,11 @@ def loads(text: str) -> Lexicon:
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if len(parts) == 2 and parts[0] == "mu_default":
-                (mu_default,) = _numbers(parts[1:], lineno)
-                if not 0.0 < mu_default <= 1.0:
-                    raise LexiconFormatError(
-                        f"mu_default must lie in (0, 1], got {mu_default!r}", lineno)
+                (mu,) = _numbers(parts[1:], lineno)  # outside the try: it raises its own fault
+                try:
+                    mu_default = _scale(mu, "mu_default")
+                except ValueError as exc:
+                    raise LexiconFormatError(str(exc), lineno) from None
             continue
         parts = stripped.split()
         if not parts:

@@ -455,8 +455,14 @@ class TestVerify:
         fields = keys_of(report, "verify")
         for key in (
             "perturbation_norm", "baseline.delta", "baseline.error", "improved.delta",
+            "tolerance", "baseline.tolerance",
         ):
             assert key in fields
+        values = dict(line.removeprefix("verify ").split(": ", 1) for line in report)
+        # the bound the verdict holds baseline.error to, in the perturbation's units
+        p_norm = float(values["perturbation_norm"])
+        assert float(values["baseline.tolerance"]) == 1e-12 * max(1.0, p_norm)
+        assert float(values["baseline.error"]) <= float(values["baseline.tolerance"])
 
     def test_contradiction_report_fields(self, demo_lexicon_path, capsys):
         run(["verify", "contradiction", *DEMO_ARGS(demo_lexicon_path)])
@@ -690,11 +696,38 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["defenestrate"]) == 2
 
-    def test_unknown_flag(self, demo_lexicon_path, capsys):
-        code = run(
-            ["negate", *DEMO_ARGS(demo_lexicon_path), "--word", "blue", "--frob", "1"]
-        )
-        assert code == 2
+    # argparse's own errors: one tripsem: line, as for every other usage error
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["negate", "--lexicon", "{lex}", "--word", "blue", "--frob", "1"],
+                "unrecognized arguments: --frob 1",
+            ),
+            (["negate", "--lexicon", "{lex}"], "the following arguments are required: --word"),
+            (
+                ["lexicon-init", "--words", "{words}", "--out", "{out}", "--seed", "abc"],
+                "argument --seed: invalid int value: 'abc'",
+            ),
+        ],
+        ids=["unknown-flag", "missing-flag", "non-integer-seed"],
+    )
+    def test_a_parser_error_is_one_line(
+        self, demo_lexicon_path, fixtures_dir, tmp_path, capsys, argv, err
+    ):
+        paths = {"lex": demo_lexicon_path, "words": fixtures_dir / "words.txt",
+                 "out": tmp_path / "x.lex"}
+        assert run([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tripsem: {err}\n"
+        assert not (tmp_path / "x.lex").exists()
+
+    def test_help_still_prints_and_exits_zero(self, capsys):
+        assert run(["negate", "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: tripsem negate [-h] --lexicon LEXICON")
+        assert captured.err == ""
 
     def test_unknown_verify_check(self, demo_lexicon_path, capsys):
         assert run(["verify", "everything", *DEMO_ARGS(demo_lexicon_path)]) == 2

@@ -112,10 +112,17 @@ def test_a_value_type_is_unequal_to_another_type(value):
 
 
 class TestNegationOperator:
-    @pytest.mark.parametrize("bad_mu", [0.0, -0.5, 1.0000001, np.nan, np.inf])
-    def test_mu_outside_unit_interval_rejected(self, bad_mu):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "bad_mu, shown",
+        [
+            (0.0, "0.0"), (-0.5, "-0.5"), (1.0000001, "1.0000001"),
+            (np.nan, "nan"), (np.inf, "inf"), (2, "2"),
+        ],
+    )
+    def test_mu_outside_unit_interval_rejected(self, bad_mu, shown):
+        with pytest.raises(ValueError) as err:
             NegationOperator(bad_mu, LAY211)
+        assert str(err.value) == f"mu must lie in (0, 1], got {shown}"
 
     def test_boundary_mu_one_allowed(self):
         assert NegationOperator(1.0, LAY211).mu == 1.0

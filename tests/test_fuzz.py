@@ -3,7 +3,8 @@
 Inputs are valid lexicons and trees, some of them mutated by deleting,
 duplicating or replacing a piece. Lexicons are drawn at n <= 8. A mutation
 grows a layout only by repeating one of its digits, which leaves every
-vector line too short, so no large matrix is ever allocated.
+vector line too short, so no large matrix is ever allocated. Argv is a
+subcommand's over those files, or a malformed one that argparse rejects.
 """
 
 import contextlib
@@ -148,6 +149,25 @@ def commands(lexicon, tree):
     )
 
 
+def malformed(argvs, words, out):
+    """Argv that argparse rejects: a command of ``argvs`` with an unknown flag
+    or without its required --lexicon, or lexicon-init with a non-numeric
+    --seed or --noise."""
+    def without_lexicon(argv):
+        k = argv.index("--lexicon")
+        return argv[:k] + argv[k + 2:]
+
+    return st.one_of(
+        argvs.map(lambda argv: [*argv, "--frob", "1"]),
+        argvs.map(without_lexicon),
+        st.builds(
+            lambda flag, text: ["lexicon-init", "--words", words, "--out", out, flag, text],
+            st.sampled_from(["--seed", "--noise"]),
+            st.sampled_from(["abc", "", "1,5", "0x1"]),
+        ),
+    )
+
+
 @FUZZ
 @given(st.data(), mutated(lexicon_texts()), mutated(tree_texts()))
 def test_cli_exits_0_1_or_2_1_only_from_verify_2_with_empty_stdout(
@@ -157,7 +177,8 @@ def test_cli_exits_0_1_or_2_1_only_from_verify_2_with_empty_stdout(
     lexicon, tree = folder / "fuzz.lex", folder / "fuzz.tree"
     lexicon.write_text(lex_text, encoding="utf-8")
     tree.write_text(tree_text, encoding="utf-8")
-    argv = data.draw(commands(str(lexicon), str(tree)))
+    argvs = commands(str(lexicon), str(tree))
+    argv = data.draw(st.one_of(argvs, malformed(argvs, str(tree), str(folder / "fuzz-out.lex"))))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)

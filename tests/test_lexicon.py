@@ -102,9 +102,17 @@ class TestLexiconType:
         with pytest.raises(ValueError, match="^entry token 'a' filed under 'b'$"):
             Lexicon(LAY211, {"b": entry})
 
-    def test_bad_mu_default_rejected(self):
-        with pytest.raises(ValueError):
-            Lexicon(LAY211, {}, mu_default=0.0)
+    @pytest.mark.parametrize(
+        "bad_mu, shown",
+        [
+            (0.0, "0.0"), (-0.5, "-0.5"), (1.0000001, "1.0000001"),
+            (np.nan, "nan"), (np.inf, "inf"), (2, "2"),
+        ],
+    )
+    def test_bad_mu_default_rejected(self, bad_mu, shown):
+        with pytest.raises(ValueError) as err:
+            Lexicon(LAY211, {}, mu_default=bad_mu)
+        assert str(err.value) == f"mu_default must lie in (0, 1], got {shown}"
 
 
 class TestInitRandom:
